@@ -16,7 +16,6 @@
 //	GET /api/v1/figures/{name}     run one experiment (CLI-identical bytes)
 //	GET /api/v1/mrc                StatStack miss-ratio curve of one benchmark
 //	GET /api/v1/mix                one co-run mix under selected policies
-//	GET /api/v1/shards/run         execute a cluster sweep shard (-join only)
 //	GET /api/v1/stats              stats registry with live server section
 //	GET /api/v1/metrics            serving-layer counters
 //
@@ -123,7 +122,6 @@ func appMain(argv []string, stdout, stderr io.Writer) int {
 		workers = fs.Int("workers", 0, "experiment engine workers (0 = all CPUs; results are identical at any setting)")
 		benches = fs.String("benches", "", "comma-separated benchmark subset for the single-thread studies (default: all)")
 		tier    = fs.String("tier", "sim", "default prediction tier: sim, analytic or static (clients may override per request with ?tier=)")
-		join    = fs.Bool("join", false, "serve GET /api/v1/shards/run so a prefetchlab -cluster coordinator can dispatch sweep shards to this worker")
 
 		logFormat   = fs.String("log-format", "text", "structured log format: text or json")
 		logLevel    = fs.String("log-level", "info", "minimum log level: debug, info, warn or error")
@@ -204,7 +202,7 @@ func appMain(argv []string, stdout, stderr io.Writer) int {
 	var cp *ckpt.File
 	if *checkpoint != "" {
 		var err error
-		cp, err = ckpt.Open(*checkpoint, serve.Fingerprint(base))
+		cp, err = ckpt.Open(*checkpoint, base.Fingerprint())
 		if err != nil {
 			fmt.Fprintf(stderr, "prefetchd: checkpoint: %v\n", err)
 			return 1
@@ -269,7 +267,6 @@ func appMain(argv []string, stdout, stderr io.Writer) int {
 		Log:               stderr,
 		Logger:            logger,
 		SlowRequest:       *slowRequest,
-		Worker:            *join,
 	})
 
 	// Request contexts derive from baseCtx: when a drain times out, the

@@ -32,7 +32,6 @@ import (
 
 	"prefetchlab/internal/atomicio"
 	"prefetchlab/internal/ckpt"
-	"prefetchlab/internal/cluster"
 	"prefetchlab/internal/core"
 	"prefetchlab/internal/experiments"
 	"prefetchlab/internal/faultinject"
@@ -40,10 +39,8 @@ import (
 	"prefetchlab/internal/machine"
 	"prefetchlab/internal/obs"
 	"prefetchlab/internal/pipeline"
-	"prefetchlab/internal/resultcache"
 	"prefetchlab/internal/sampler"
 	"prefetchlab/internal/sched"
-	"prefetchlab/internal/serve/client"
 	"prefetchlab/internal/workloads"
 )
 
@@ -86,11 +83,6 @@ func appMain(argv []string, stdout, stderr io.Writer) int {
 		faults     = fs.String("faults", "", "inject deterministic task faults for chaos testing, e.g. panic=0.05,error=0.05,latency=0.01,corrupt=0.01,seed=1")
 		retries    = fs.Int("retries", 0, "extra attempts per failing engine task (deterministic, task-keyed backoff)")
 		budget     = fs.Int("failure-budget", 0, "failed cells absorbed per batch as explicit skips (-1 = unlimited, 0 = fail fast; defaults to -1 when -faults is set)")
-
-		clusterHosts  = fs.String("cluster", "", "comma-separated prefetchd worker base URLs (started with -join) to shard sweeps across; output stays byte-identical to a local run")
-		clusterLedger = fs.String("cluster-ledger", "", "durable shard ledger: acked remote results are appended here and replayed on coordinator restart")
-		shardSize     = fs.Int("shard-size", 0, "task indices per dispatched shard (0 = about two shards per worker)")
-		clusterCache  = fs.String("result-cache", "", "content-addressed result cache directory the coordinator consults before dispatching shards; acked task values are stored for the next sweep (requires -cluster)")
 	)
 	if err := fs.Parse(argv); err != nil {
 		return 2
@@ -108,10 +100,6 @@ func appMain(argv []string, stdout, stderr io.Writer) int {
 	if !experiments.ValidTier(*tier) {
 		fmt.Fprintf(stderr, "prefetchlab: unknown tier %q (want %s)\n",
 			*tier, strings.Join(experiments.Tiers(), " or "))
-		return 2
-	}
-	if *clusterCache != "" && *clusterHosts == "" {
-		fmt.Fprintln(stderr, "prefetchlab: -result-cache requires -cluster (the cache fronts shard dispatch)")
 		return 2
 	}
 	var benchList []string
@@ -222,7 +210,7 @@ func appMain(argv []string, stdout, stderr io.Writer) int {
 	// checkpoint needs the stats registry even without -stats-json, so that
 	// replayed tasks restore their recorded snapshots.
 	var o *obs.Obs
-	if *statsJSON != "" || *traceOut != "" || *progress || *checkpoint != "" || *clusterHosts != "" {
+	if *statsJSON != "" || *traceOut != "" || *progress || *checkpoint != "" {
 		o = &obs.Obs{}
 		if *statsJSON != "" || *checkpoint != "" {
 			o.Stats = obs.NewStats()
@@ -266,53 +254,6 @@ func appMain(argv []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// The cluster coordinator shards sweeps across a prefetchd fleet; the
-	// scheduler runs anything the fleet does not cover locally, so output
-	// stays byte-identical to a single-process run at any fleet size.
-	var coord *cluster.Coordinator
-	var ledger *cluster.Ledger
-	if *clusterHosts != "" {
-		if *clusterLedger != "" {
-			var err error
-			ledger, err = cluster.OpenLedger(*clusterLedger, baseOpts.Fingerprint())
-			if err != nil {
-				fmt.Fprintf(stderr, "prefetchlab: %v\n", err)
-				return 1
-			}
-		}
-		var cache *resultcache.Cache
-		if *clusterCache != "" {
-			var err error
-			cache, err = resultcache.New(resultcache.Config{
-				MaxEntries: 4096,
-				Dir:        *clusterCache,
-				Obs:        o,
-			})
-			if err != nil {
-				fmt.Fprintf(stderr, "prefetchlab: result cache: %v\n", err)
-				return 1
-			}
-		}
-		var err error
-		coord, err = cluster.New(cluster.Config{
-			Workers:   strings.Split(*clusterHosts, ","),
-			Options:   baseOpts,
-			Ledger:    ledger,
-			Cache:     cache,
-			Obs:       o,
-			ShardSize: *shardSize,
-			NewClient: func(baseURL string) cluster.Getter {
-				return client.New(client.Config{BaseURL: baseURL, MaxRetries: 2})
-			},
-		})
-		if err != nil {
-			fmt.Fprintf(stderr, "prefetchlab: %v\n", err)
-			return 1
-		}
-		coord.Start(ctx)
-		defer coord.Stop()
-	}
-
 	stopProf, err := obs.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {
 		fmt.Fprintf(stderr, "prefetchlab: %v\n", err)
@@ -326,18 +267,12 @@ func appMain(argv []string, stdout, stderr io.Writer) int {
 	runOpts.FailureBudget = *budget
 	runOpts.Fault = fault
 	runOpts.Save = save
-	if coord != nil {
-		runOpts.Remote = coord
-	}
 	s := experiments.NewSession(runOpts)
 
 	code := 0
 	canceled := false
 	for _, name := range args {
 		t0 := time.Now()
-		if coord != nil {
-			coord.SetExperiment(name)
-		}
 		done := o.Span("experiment", name, nil)
 		err := experiments.Run(ctx, s, name)
 		done()
@@ -365,11 +300,9 @@ func appMain(argv []string, stdout, stderr io.Writer) int {
 		code = 1
 	}
 	if o != nil && o.Stats != nil && *statsJSON != "" {
-		// Fold engine fault and cluster tallies into the stats export.
-		// Fault-free single-process runs set nothing, so their files stay
-		// byte-identical to earlier releases.
+		// Fold engine fault tallies into the stats export. Fault-free runs set
+		// nothing, so their files stay byte-identical to earlier releases.
 		o.PublishFaults()
-		o.PublishCluster()
 		if err := writeObsFile(*statsJSON, o.Stats.WriteJSON); err != nil {
 			fmt.Fprintf(stderr, "prefetchlab: %v\n", err)
 			code = 1
@@ -392,19 +325,6 @@ func appMain(argv []string, stdout, stderr io.Writer) int {
 	}
 	if sum := o.FaultSummary(); sum != "" {
 		fmt.Fprintf(stderr, "# engine: %s\n", sum)
-	}
-	if sum := o.ClusterSummary(); sum != "" {
-		fmt.Fprintf(stderr, "# %s\n", sum)
-	}
-	if ledger != nil {
-		if *verbose || canceled {
-			fmt.Fprintf(stderr, "# ledger: replayed %d record(s), appended %d to %s\n",
-				ledger.Replayed(), ledger.Appended(), *clusterLedger)
-		}
-		if err := ledger.Close(); err != nil {
-			fmt.Fprintf(stderr, "prefetchlab: ledger: %v\n", err)
-			code = 1
-		}
 	}
 	if cp != nil {
 		if *verbose || canceled {

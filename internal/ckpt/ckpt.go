@@ -51,11 +51,6 @@ const maxRecord = 64 << 20
 const (
 	KindTask = "task" // a completed scheduler task, keyed by (batch, index)
 	KindStat = "stat" // a recorded stats snapshot, keyed by stat key
-	// KindShard is an acked cluster shard result, keyed by (batch, index)
-	// like KindTask but carrying a ledger entry (origin worker + task
-	// value); used by the internal/cluster shard ledger, which is this same
-	// file format under a cluster fingerprint.
-	KindShard = "shard"
 )
 
 type record struct {

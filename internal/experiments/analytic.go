@@ -322,7 +322,7 @@ func (s *Session) validateMachine(ctx context.Context, mach machine.Machine, mix
 		rep.Solo = append(rep.Solo, o.Value)
 	}
 	runner := &mix.Runner{Prof: s.Prof, Mach: mach, ProfileInput: s.Input(),
-		Pool: sched.Serial, Obs: s.O.Obs, Scope: "analytic-validate/" + mach.Name}
+		Pool: s.mixRunPool(len(mixes)), Obs: s.O.Obs, Scope: "analytic-validate/" + mach.Name}
 	mixKey := fmt.Sprintf("analytic-validate/%s/mix", mach.Name)
 	mixOuts, err := sched.MapOutcomes(ctx, s.pool().Named(mixKey), len(mixes), func(i int) (validate.MixRow, error) {
 		names := mixes[i]

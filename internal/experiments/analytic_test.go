@@ -54,7 +54,7 @@ func TestAnalyticVsSimulator(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the simulator over all 12 workloads; several minutes")
 	}
-	s := testSession() // all 12 benchmarks, 2 mixes, seed 11
+	s := sharedSession() // all 12 benchmarks, 2 mixes, seed 11
 	r, err := s.AnalyticValidate(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -156,6 +156,7 @@ func TestAnalyticDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("profiles four benchmarks twice")
 	}
+	t.Parallel() // the workers=1 run keeps a single core busy; overlap it
 	run := func(workers int) (string, string) {
 		var out bytes.Buffer
 		o := &obs.Obs{Stats: obs.NewStats()}

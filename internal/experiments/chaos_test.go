@@ -42,6 +42,7 @@ func TestChaosFigureDriversSurviveFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos sweep runs every driver; skipped in -short")
 	}
+	t.Parallel() // its one-mix studies keep a single core busy; overlap them
 	ctx := context.Background()
 	shared := chaosSession(t, "libquantum", "mcf", "omnetpp", "cigar")
 	drivers := []struct {

@@ -29,6 +29,7 @@ func TestFig8DeterministicAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a mix twice; skipped in -short")
 	}
+	t.Parallel() // the workers=1 run keeps a single core busy; overlap it
 	runAt := func(workers int) string {
 		s := NewSession(Options{
 			Scale: 0.05, Mixes: 2, Seed: 11, SamplerPeriod: 1024,

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 
@@ -79,18 +80,13 @@ type Options struct {
 	// experiments run two tiers by design — they are the differential
 	// harnesses.
 	Tier string
-	// Remote, when non-nil, offers every scheduler batch to a remote
-	// executor (the cluster coordinator) before local fan-out; indices it
-	// does not cover run locally, so output stays byte-identical to a
-	// single-process run at any fleet size (see internal/cluster).
-	Remote sched.BatchRunner
 }
 
 // Fingerprint identifies the result-affecting configuration: the string
 // covers exactly the options that change task results — never Workers,
-// Retries, Remote or timeouts, which only change scheduling — so a
-// checkpoint or shard ledger written under one fingerprint is valid for
-// any schedule of the same configuration. Call on normalized options.
+// Retries or timeouts, which only change scheduling — so a checkpoint
+// written under one fingerprint is valid for any schedule of the same
+// configuration. Call on normalized options.
 func (o Options) Fingerprint() string {
 	fp := fmt.Sprintf("scale=%g seed=%d mixes=%d period=%d benches=%s",
 		o.Scale, o.Seed, o.Mixes, o.SamplerPeriod, strings.Join(o.Benches, ","))
@@ -179,8 +175,24 @@ func (s *Session) pool() sched.Pool {
 		FailureBudget: s.O.FailureBudget,
 		Fault:         s.O.Fault,
 		Save:          s.O.Save,
-		Remote:        s.O.Remote,
 	}
+}
+
+// mixRunPool is the pool a mix.Runner uses for the baseline and policy
+// runs of one mix while the session pool fans out across mixes. Each mix
+// gets the workers the mix batch leaves idle, so a study with fewer mixes
+// than workers still keeps every core busy while the two levels together
+// stay within the worker budget. The pool carries no fault hook, saver or
+// observer: those act on the mix batch, whose tasks are the whole mixes.
+func (s *Session) mixRunPool(mixes int) sched.Pool {
+	w := s.O.Workers
+	if w <= 0 {
+		w = runtime.NumCPU()
+	}
+	if mixes > 0 && w/mixes > 1 {
+		return sched.Pool{Workers: w / mixes}
+	}
+	return sched.Serial
 }
 
 // SkippedCell is one unit of work a figure driver abandoned after the retry

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"strings"
+	"sync"
 	"testing"
 
 	"prefetchlab/internal/pipeline"
@@ -20,6 +21,23 @@ func testSession(benches ...string) *Session {
 		Out:           &bytes.Buffer{},
 		Benches:       benches,
 	})
+}
+
+var fullSet struct {
+	once sync.Once
+	s    *Session
+}
+
+// sharedSession is the one all-benchmark testSession that every full-set
+// test uses. Its single-flight caches then compute each profile, solo run
+// and mix study once per test binary, as a `prefetchlab all` run does,
+// instead of once per test; cached values are the values a fresh session
+// would compute, so no assertion sees a different number. Tests may point
+// s.O.Out at their own buffer before printing and must change no other
+// option.
+func sharedSession() *Session {
+	fullSet.once.Do(func() { fullSet.s = testSession() })
+	return fullSet.s
 }
 
 func TestTable1Shapes(t *testing.T) {
@@ -59,7 +77,7 @@ func TestTable1Shapes(t *testing.T) {
 }
 
 func TestFig3Monotone(t *testing.T) {
-	s := testSession()
+	s := sharedSession()
 	r, err := s.Fig3(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -213,5 +231,31 @@ func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
 	if o.Scale != 1 || o.Mixes <= 0 || o.Seed == 0 || o.SamplerPeriod <= 0 || o.Out == nil {
 		t.Fatalf("defaults = %+v", o)
+	}
+}
+
+// TestFingerprintPinned pins the exact checkpoint fingerprint strings. A
+// -checkpoint file is only resumable while Options.Fingerprint renders its
+// configuration byte-for-byte as it did when the file was written, so any
+// change here orphans every existing checkpoint.
+func TestFingerprintPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		o    Options
+		want string
+	}{
+		{"default sim", Options{}, "scale=1 seed=42 mixes=45 period=4096 benches="},
+		{"explicit sim", Options{Tier: "sim"}, "scale=1 seed=42 mixes=45 period=4096 benches="},
+		{"analytic", Options{Tier: "analytic"}, "scale=1 seed=42 mixes=45 period=4096 benches= tier=analytic"},
+		{"static", Options{Tier: "static"}, "scale=1 seed=42 mixes=45 period=4096 benches= tier=static"},
+		{"overrides", Options{Scale: 0.05, Mixes: 2, Seed: 11, SamplerPeriod: 1024, Benches: []string{"libquantum", "mcf"}},
+			"scale=0.05 seed=11 mixes=2 period=1024 benches=libquantum,mcf"},
+		// Scheduling-only options never enter the fingerprint.
+		{"scheduling only", Options{Workers: 8, Retries: 3, FailureBudget: -1, Verbose: true},
+			"scale=1 seed=42 mixes=45 period=4096 benches="},
+	} {
+		if got := tc.o.Normalized().Fingerprint(); got != tc.want {
+			t.Errorf("%s: Fingerprint() = %q, want %q", tc.name, got, tc.want)
+		}
 	}
 }

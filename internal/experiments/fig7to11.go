@@ -136,7 +136,7 @@ func (s *Session) mixStudy(ctx context.Context, mach machine.Machine, diffInputs
 			scope = fmt.Sprintf("fig7-11/%s/diff-inputs", mach.Name)
 		}
 		runner := &mix.Runner{Prof: s.Prof, Mach: mach, ProfileInput: s.Input(),
-			Pool: sched.Serial, Obs: s.O.Obs, Scope: scope}
+			Pool: s.mixRunPool(len(mixes)), Obs: s.O.Obs, Scope: scope}
 		if diffInputs {
 			// §VII-D: run each mix slot with a randomly selected
 			// non-reference input. The choice draws from an RNG stream

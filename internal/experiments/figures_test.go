@@ -13,7 +13,7 @@ func TestFig7MixStudyShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mix study is slow")
 	}
-	s := testSession()
+	s := sharedSession()
 	r, err := s.Fig7(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +67,7 @@ func TestFig8DetailMix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mix run is slow")
 	}
-	s := testSession()
+	s := sharedSession()
 	r, err := s.Fig8(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +90,7 @@ func TestFig12Parallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("parallel study is slow")
 	}
-	s := testSession()
+	s := sharedSession()
 	r, err := s.Fig12(context.Background())
 	if err != nil {
 		t.Fatal(err)

@@ -59,7 +59,7 @@ func TestStaticVsSampled(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the sampled pipeline over all 12 workloads")
 	}
-	s := testSession() // all 12 benchmarks, seed 11
+	s := sharedSession() // all 12 benchmarks, seed 11
 	r, err := s.StaticValidate(context.Background())
 	if err != nil {
 		t.Fatal(err)

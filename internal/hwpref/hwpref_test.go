@@ -26,16 +26,6 @@ func mustStream(t *testing.T, cfg StreamConfig) *Stream {
 	return s
 }
 
-// mustGHB builds a GHB prefetcher from a config the test knows is valid.
-func mustGHB(t *testing.T, cfg GHBConfig) *GHB {
-	t.Helper()
-	g, err := NewGHB(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
-}
-
 func TestConstructorsRejectBadConfigs(t *testing.T) {
 	if _, err := NewStride(StrideConfig{TableSize: 3}); err == nil {
 		t.Error("NewStride accepted a non-power-of-two table")
@@ -45,12 +35,6 @@ func TestConstructorsRejectBadConfigs(t *testing.T) {
 	}
 	if _, err := NewStream(StreamConfig{Streams: 0}); err == nil {
 		t.Error("NewStream accepted zero streams")
-	}
-	if _, err := NewGHB(GHBConfig{HistorySize: 0, IndexSize: 16}); err == nil {
-		t.Error("NewGHB accepted an empty history")
-	}
-	if _, err := NewGHB(GHBConfig{HistorySize: 16, IndexSize: 5}); err == nil {
-		t.Error("NewGHB accepted a non-power-of-two index")
 	}
 }
 
@@ -176,66 +160,5 @@ func TestEngineReset(t *testing.T) {
 	s.Reset()
 	if out := s.Observe(0, pc, 6, true, nil); len(out) != 0 {
 		t.Fatalf("reset did not clear training: %v", out)
-	}
-}
-
-func TestGHBLearnsRepeatingSequence(t *testing.T) {
-	g := mustGHB(t, GHBConfig{HistorySize: 64, IndexSize: 64, Degree: 2})
-	seq := []uint64{10, 500, 3, 77, 1234}
-	// First pass: record only.
-	for _, l := range seq {
-		if out := g.Observe(0, 0, l, true, nil); len(out) != 0 {
-			t.Fatalf("cold pass issued %v", out)
-		}
-	}
-	// Second pass: each miss must prefetch its recorded successors.
-	for i, l := range seq {
-		out := g.Observe(0, 0, l, true, nil)
-		if i+1 < len(seq) {
-			if len(out) == 0 || out[0] != seq[i+1] {
-				t.Fatalf("at %d (line %d): prefetched %v, want successor %d", i, l, out, seq[i+1])
-			}
-		}
-	}
-}
-
-func TestGHBIgnoresHits(t *testing.T) {
-	g := mustGHB(t, DefaultGHBConfig())
-	if out := g.Observe(0, 0, 5, false, nil); len(out) != 0 {
-		t.Fatal("GHB trained on a hit")
-	}
-}
-
-func TestGHBReset(t *testing.T) {
-	g := mustGHB(t, GHBConfig{HistorySize: 16, IndexSize: 16, Degree: 1})
-	for _, l := range []uint64{1, 2, 3, 1, 2} {
-		g.Observe(0, 0, l, true, nil)
-	}
-	g.Reset()
-	if out := g.Observe(0, 0, 1, true, nil); len(out) != 0 {
-		t.Fatalf("reset did not clear history: %v", out)
-	}
-}
-
-func TestGHBWithChaseEndToEnd(t *testing.T) {
-	// A repeating pointer-chase order is invisible to stride/stream engines
-	// but learnable by the GHB: after one full cycle it should prefetch
-	// most chase successors.
-	g := mustGHB(t, GHBConfig{HistorySize: 512, IndexSize: 512, Degree: 1})
-	order := make([]uint64, 200)
-	for i := range order {
-		order[i] = uint64((i*7919 + 13) % 997) // fixed pseudo-random cycle
-	}
-	for pass := 0; pass < 3; pass++ {
-		hits := 0
-		for i, l := range order {
-			out := g.Observe(0, 0, l, true, nil)
-			if pass > 0 && len(out) > 0 && out[0] == order[(i+1)%len(order)] {
-				hits++
-			}
-		}
-		if pass > 0 && hits < len(order)/2 {
-			t.Fatalf("pass %d: only %d/%d successors predicted", pass, hits, len(order))
-		}
 	}
 }

@@ -17,15 +17,13 @@ import (
 
 // Engine names the packages (by import-path base) whose exported surface
 // runs tasks: the worker pool, the figure drivers, the HTTP front end and
-// its client, the distributed sweep coordinator, the mix runner, the
-// sampling pipeline, the static analyzer, the multi-tenant admission layer
-// and the result cache.
+// its client, the mix runner, the sampling pipeline, the static analyzer,
+// the multi-tenant admission layer and the result cache.
 var Engine = map[string]bool{
 	"sched":       true,
 	"experiments": true,
 	"serve":       true,
 	"client":      true,
-	"cluster":     true,
 	"mix":         true,
 	"pipeline":    true,
 	"staticprof":  true,

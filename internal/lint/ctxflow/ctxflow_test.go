@@ -11,10 +11,6 @@ func TestEnginePackage(t *testing.T) {
 	linttest.Run(t, ctxflow.Analyzer, "testdata/src/sched")
 }
 
-func TestClusterPackage(t *testing.T) {
-	linttest.Run(t, ctxflow.Analyzer, "testdata/src/cluster")
-}
-
 func TestTenantPackage(t *testing.T) {
 	linttest.Run(t, ctxflow.Analyzer, "testdata/src/tenant")
 }

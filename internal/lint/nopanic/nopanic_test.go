@@ -11,10 +11,6 @@ func TestLibraryPackage(t *testing.T) {
 	linttest.Run(t, nopanic.Analyzer, "testdata/src/lib")
 }
 
-func TestClusterPackage(t *testing.T) {
-	linttest.Run(t, nopanic.Analyzer, "testdata/src/cluster")
-}
-
 func TestStaticProfPackage(t *testing.T) {
 	linttest.Run(t, nopanic.Analyzer, "testdata/src/staticprof")
 }

@@ -163,7 +163,8 @@ type Runner struct {
 	RunInput func(mixIdx, slot int) workloads.Input
 	// Pool fans the baseline + per-policy simulations of one mix out
 	// across engine workers. The zero value uses every CPU; callers that
-	// already fan out across mixes should pass sched.Serial.
+	// already fan out across mixes should pass a pool sized to the workers
+	// that fan-out leaves idle (sched.Serial when it fills them all).
 	Pool sched.Pool
 	// Obs, when non-nil, receives a machine snapshot per policy run. Keys
 	// are prefixed with Scope (default "mix/<machine>") so different

@@ -48,17 +48,6 @@ type Obs struct {
 	tasksDone  atomic.Int64
 	tasksBusy  atomic.Int64
 
-	// cluster shard lifecycle (see cluster.go)
-	shardsDispatched  atomic.Int64
-	shardsAcked       atomic.Int64
-	shardsRequeued    atomic.Int64
-	shardsQuarantined atomic.Int64
-	shardsLocal       atomic.Int64
-	tasksRemote       atomic.Int64
-	ledgerReplays     atomic.Int64
-	workerDeaths      atomic.Int64
-	workerRejoins     atomic.Int64
-
 	cacheMu   sync.Mutex
 	cacheHits map[string]int64
 	cacheMiss map[string]int64

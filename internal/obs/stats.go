@@ -187,7 +187,6 @@ type Stats struct {
 	skipped map[string]string // task key -> reason
 	faults  any               // fault-handling tallies (set only when non-zero)
 	server  any               // serving-layer snapshot (prefetchd only)
-	cluster any               // shard-lifecycle tallies (cluster runs only)
 	static  any               // static-vs-sampled agreement (static-validate only)
 
 	// Persist, when non-nil, is invoked after every Record with the key and
@@ -269,19 +268,6 @@ func (s *Stats) SetFaults(v any) {
 	s.mu.Unlock()
 }
 
-// SetCluster attaches the cluster shard-lifecycle tallies (dispatch, ack,
-// requeue, quarantine counts) exported under the "cluster" key. Single-process
-// runs never set it, so their stats JSON stays byte-identical to earlier
-// releases. No-op on nil.
-func (s *Stats) SetCluster(v any) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.cluster = v
-	s.mu.Unlock()
-}
-
 // SetStatic attaches the static-analysis agreement summary (per-benchmark
 // stride-classification agreement and MRC error vs the sampled tier)
 // exported under the "static" key. Runs that never touch the static tier
@@ -340,7 +326,6 @@ func (s *Stats) WriteJSON(w io.Writer) error {
 		Skipped []skippedTask  `json:"skipped,omitempty"`
 		Faults  any            `json:"faults,omitempty"`
 		Server  any            `json:"server,omitempty"`
-		Cluster any            `json:"cluster,omitempty"`
 		Static  any            `json:"static,omitempty"`
 	}
 	out.Tasks = []taskSnapshot{} // export [] rather than null when empty
@@ -348,7 +333,6 @@ func (s *Stats) WriteJSON(w io.Writer) error {
 		s.mu.Lock()
 		out.Faults = s.faults
 		out.Server = s.server
-		out.Cluster = s.cluster
 		out.Static = s.static
 		keys := make([]string, 0, len(s.snaps))
 		for k := range s.snaps {

@@ -178,28 +178,6 @@ func (f FaultFunc) Inject(batch string, index, attempt int) error {
 	return f(batch, index, attempt)
 }
 
-// BatchRunner computes task values for a batch somewhere other than the
-// local pool — the cluster coordinator implements it by sharding the batch
-// across remote workers. RunBatch receives the batch name, the total task
-// count n and the indices that still need values (tasks already replayable
-// from the pool's Saver are excluded), and returns gob-encoded values for
-// any subset of them: the encoding must match what the pool itself would
-// persist (gobEncode of the task value), so remote and local results are
-// interchangeable. Indices missing from the returned map — and entries
-// that fail to decode — simply execute locally, which is what makes
-// degraded fleets safe: an empty map means a plain single-process run.
-// RunBatch must honor ctx and must not panic.
-type BatchRunner interface {
-	RunBatch(ctx context.Context, batch string, n int, indices []int) map[int][]byte
-}
-
-// RemoteObserver is an optional extension of TaskObserver (discovered by
-// type assertion on Pool.Obs) reporting tasks whose values came from a
-// BatchRunner instead of local execution.
-type RemoteObserver interface {
-	TaskRemote(batch string, index int)
-}
-
 // Saver persists completed task values and replays them on resume. Lookup
 // returns the stored bytes for a task (gob-encoded by the pool); Save
 // stores them. Both must be safe for concurrent use. Values that cannot be
@@ -222,11 +200,7 @@ type Outcome[T any] struct {
 	Skipped bool
 	// Replayed marks a value restored from a Saver checkpoint.
 	Replayed bool
-	// Remote marks a value computed by the pool's BatchRunner (a cluster
-	// worker) instead of locally.
-	Remote bool
-	// Attempts is the number of attempts executed (0 for replayed and
-	// remote cells).
+	// Attempts is the number of attempts executed (0 for replayed cells).
 	Attempts int
 }
 
@@ -261,11 +235,6 @@ type Pool struct {
 	// Save, when non-nil, persists completed task values and replays them
 	// on resume instead of re-executing.
 	Save Saver
-	// Remote, when non-nil, is offered every batch before local fan-out;
-	// indices it returns values for skip local execution (and are persisted
-	// to Save like locally computed ones). Indices it does not cover run
-	// locally, so a degraded or empty fleet degrades to a plain local run.
-	Remote BatchRunner
 }
 
 // Named returns a copy of the pool whose batches are labelled name in
@@ -314,8 +283,7 @@ func Map[T any](ctx context.Context, p Pool, n int, fn func(i int) (T, error)) (
 // ForEach evaluates fn(0) … fn(n-1) across the pool's workers, discarding
 // results. Error semantics match Map.
 func ForEach(ctx context.Context, p Pool, n int, fn func(i int) error) error {
-	p.Save = nil   // no values to persist; side-effecting tasks must re-run on resume
-	p.Remote = nil // side effects are local by definition; remote values are meaningless
+	p.Save = nil // no values to persist; side-effecting tasks must re-run on resume
 	_, err := Map(ctx, p, n, func(i int) (struct{}, error) {
 		return struct{}{}, fn(i)
 	})
@@ -348,7 +316,6 @@ func runBatch[T any](ctx context.Context, p Pool, n int, fn func(i int) (T, erro
 	}
 	fo, _ := p.Obs.(FaultObserver)
 	wo, _ := p.Obs.(WorkObserver)
-	ro, _ := p.Obs.(RemoteObserver)
 	outs := make([]Outcome[T], n)
 	done := make([]atomic.Bool, n)
 	w := p.workers(n)
@@ -357,7 +324,6 @@ func runBatch[T any](ctx context.Context, p Pool, n int, fn func(i int) (T, erro
 		p.Obs.BatchStart(p.Name, n)
 		queued = time.Now()
 	}
-	remote := fetchRemote(ctx, p, n)
 	var skips, failed atomic.Int64
 	// handle records a finished task; it returns false when the task's
 	// failure exceeds the budget and the batch must stop.
@@ -385,7 +351,7 @@ func runBatch[T any](ctx context.Context, p Pool, n int, fn func(i int) (T, erro
 			if ctx.Err() != nil {
 				break
 			}
-			o := runTask(ctx, p, fo, wo, ro, remote, i, 0, queued, fn)
+			o := runTask(ctx, p, fo, wo, i, 0, queued, fn)
 			if o.Err != nil && ctx.Err() != nil {
 				break // canceled mid-task: not a task failure
 			}
@@ -409,7 +375,7 @@ func runBatch[T any](ctx context.Context, p Pool, n int, fn func(i int) (T, erro
 				if i >= n {
 					return
 				}
-				o := runTask(ctx, p, fo, wo, ro, remote, i, worker, queued, fn)
+				o := runTask(ctx, p, fo, wo, i, worker, queued, fn)
 				if o.Err != nil && ctx.Err() != nil {
 					return // canceled mid-task: not a task failure
 				}
@@ -459,35 +425,11 @@ func batchError(p Pool, budget, index int, err error, strict bool) error {
 	return &BudgetError{Batch: p.Name, Budget: budget, Index: index, First: err}
 }
 
-// fetchRemote offers the batch to the pool's BatchRunner (if any) and
-// returns its partial result map. Indices already replayable from the
-// Saver are excluded from the request; a batch fully covered by the
-// checkpoint never leaves the process.
-func fetchRemote(ctx context.Context, p Pool, n int) map[int][]byte {
-	if p.Remote == nil {
-		return nil
-	}
-	need := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if p.Save != nil {
-			if _, ok := p.Save.Lookup(p.Name, i); ok {
-				continue
-			}
-		}
-		need = append(need, i)
-	}
-	if len(need) == 0 {
-		return nil
-	}
-	return p.Remote.RunBatch(ctx, p.Name, n, need)
-}
-
-// runTask executes one task: checkpoint replay if available, then a remote
-// (BatchRunner) value if one arrived, otherwise up to MaxAttempts local
-// executions with panic recovery, fault injection and deterministic
+// runTask executes one task: checkpoint replay if available, otherwise up
+// to MaxAttempts executions with panic recovery, fault injection and deterministic
 // backoff. The observer sees one TaskDone event per task (the final
 // attempt); intermediate failures surface as TaskRetry events.
-func runTask[T any](ctx context.Context, p Pool, fo FaultObserver, wo WorkObserver, ro RemoteObserver, remote map[int][]byte, i, worker int, queued time.Time, fn func(i int) (T, error)) Outcome[T] {
+func runTask[T any](ctx context.Context, p Pool, fo FaultObserver, wo WorkObserver, i, worker int, queued time.Time, fn func(i int) (T, error)) Outcome[T] {
 	if p.Save != nil {
 		if data, ok := p.Save.Lookup(p.Name, i); ok {
 			var v T
@@ -503,23 +445,6 @@ func runTask[T any](ctx context.Context, p Pool, fo FaultObserver, wo WorkObserv
 			}
 			// Undecodable record (e.g. the task type changed): re-execute.
 		}
-	}
-	if data, ok := remote[i]; ok {
-		var v T
-		if err := gobDecode(data, &v); err == nil {
-			if ro != nil {
-				ro.TaskRemote(p.Name, i)
-			}
-			if p.Obs != nil {
-				now := time.Now()
-				p.Obs.TaskDone(p.Name, i, worker, queued, now, now, nil)
-			}
-			if p.Save != nil {
-				p.Save.Save(p.Name, i, data)
-			}
-			return Outcome[T]{Value: v, Remote: true}
-		}
-		// Corrupt or mistyped remote bytes: fall through to local execution.
 	}
 	if wo != nil {
 		wo.TaskStarted(p.Name, i, worker)

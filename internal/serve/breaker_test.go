@@ -15,7 +15,7 @@ func newFakeClock() *fakeClock               { return &fakeClock{t: time.Unix(10
 func testBreaker(threshold int, cooldown time.Duration) (*Breaker, *fakeClock) {
 	b := NewBreaker(threshold, cooldown)
 	c := newFakeClock()
-	b.SetClock(c.now)
+	b.setClock(c.now)
 	return b, c
 }
 

@@ -149,7 +149,7 @@ func TestChaosResumeByteIdentical(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "serve.ckpt")
-	fp := Fingerprint(norm)
+	fp := norm.Fingerprint()
 
 	// Server A: interrupt a request with a tight deadline, then a full
 	// request that populates the checkpoint.

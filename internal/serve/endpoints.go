@@ -16,7 +16,6 @@ const (
 	EndpointFigure    Endpoint = "figures/{name}"
 	EndpointMRC       Endpoint = "mrc"
 	EndpointMix       Endpoint = "mix"
-	EndpointShards    Endpoint = "shards/run"
 	EndpointStats     Endpoint = "stats"
 	EndpointMetrics   Endpoint = "metrics"      // GET /api/v1/metrics (JSON)
 	EndpointProm      Endpoint = "metrics.prom" // GET /metrics (Prometheus text)
@@ -28,6 +27,6 @@ const (
 func Endpoints() []Endpoint {
 	return []Endpoint{
 		EndpointHealthz, EndpointReadyz, EndpointFigures, EndpointFigure,
-		EndpointMRC, EndpointMix, EndpointShards, EndpointStats, EndpointMetrics, EndpointProm,
+		EndpointMRC, EndpointMix, EndpointStats, EndpointMetrics, EndpointProm,
 	}
 }

@@ -34,7 +34,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /api/v1/figures/{name}", s.serveHeavy(EndpointFigure, s.prepareFigure))
 	s.mux.HandleFunc("GET /api/v1/mrc", s.serveHeavy(EndpointMRC, s.prepareMRC))
 	s.mux.HandleFunc("GET /api/v1/mix", s.serveHeavy(EndpointMix, s.prepareMix))
-	s.mux.HandleFunc("GET /api/v1/shards/run", s.serveHeavy(EndpointShards, s.prepareShards))
 	s.mux.HandleFunc("GET /api/v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /api/v1/metrics", s.handleMetrics)
 }
@@ -156,7 +155,7 @@ func (s *Server) prepareFigure(r *http.Request) (prepared, error) {
 	o = perRequest(r, o)
 	return prepared{
 		contentType: "text/plain; charset=utf-8",
-		cacheKey:    "figure|" + name + "|" + Fingerprint(o),
+		cacheKey:    "figure|" + name + "|" + o.Fingerprint(),
 		run: func(ctx context.Context, out io.Writer) error {
 			o := o
 			o.Out = out
@@ -260,7 +259,7 @@ func (s *Server) prepareMRC(r *http.Request) (prepared, error) {
 		sizeParts[i] = strconv.FormatInt(n, 10)
 	}
 	cacheKey := fmt.Sprintf("mrc|%s|input=%d|sizes=%s|%s",
-		spec.Name, inputID, strings.Join(sizeParts, ","), Fingerprint(o))
+		spec.Name, inputID, strings.Join(sizeParts, ","), o.Fingerprint())
 	if o.Tier == "static" {
 		// The static tier never executes or samples the program: the curve
 		// and the per-load classification come from the compiled text alone,
@@ -485,7 +484,7 @@ func (s *Server) prepareMix(r *http.Request) (prepared, error) {
 		polParts[i] = p.String()
 	}
 	cacheKey := fmt.Sprintf("mix|%s|machine=%s|mixid=%d|policies=%s|%s",
-		strings.Join(names, ","), mach.Name, mixID, strings.Join(polParts, ","), Fingerprint(o))
+		strings.Join(names, ","), mach.Name, mixID, strings.Join(polParts, ","), o.Fingerprint())
 	if o.Tier == "static" {
 		// The static tier models solo miss-ratio curves only: contention
 		// needs either the analytic queue model or the timing simulator.

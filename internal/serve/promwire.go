@@ -123,22 +123,6 @@ func (s *Server) wireScrape() {
 		}
 	}
 
-	shards := reg.CounterVec("prefetchlab_cluster_shards_total",
-		"Cluster shard lifecycle events, by stage (dispatched, acked, requeued, quarantined, local_fallback).", "stage")
-	shardsDispatched := shards.With("dispatched")
-	shardsAcked := shards.With("acked")
-	shardsRequeued := shards.With("requeued")
-	shardsQuarantined := shards.With("quarantined")
-	shardsLocal := shards.With("local_fallback")
-	tasksRemote := reg.Counter("prefetchlab_cluster_tasks_remote_total",
-		"Engine tasks whose values came from a cluster worker.")
-	tasksLedger := reg.Counter("prefetchlab_cluster_tasks_ledger_replayed_total",
-		"Engine tasks restored from the durable shard ledger on coordinator restart.")
-	workerLiveness := reg.CounterVec("prefetchlab_cluster_worker_liveness_total",
-		"Worker liveness transitions, by event (death or rejoin).", "event")
-	workerDeaths := workerLiveness.With("death")
-	workerRejoins := workerLiveness.With("rejoin")
-
 	goroutines := reg.Gauge("go_goroutines", "Live goroutines.")
 	heapAlloc := reg.Gauge("go_heap_alloc_bytes", "Bytes of allocated heap objects.")
 	heapObjects := reg.Gauge("go_heap_objects", "Number of allocated heap objects.")
@@ -257,17 +241,6 @@ func (s *Server) wireScrape() {
 			cacheReq.With(cc.Cache, "hit").Set(cc.Hits)
 			cacheReq.With(cc.Cache, "miss").Set(cc.Misses)
 		}
-
-		cl := s.cfg.Obs.ClusterCounts()
-		shardsDispatched.Set(cl.ShardsDispatched)
-		shardsAcked.Set(cl.ShardsAcked)
-		shardsRequeued.Set(cl.ShardsRequeued)
-		shardsQuarantined.Set(cl.ShardsQuarantined)
-		shardsLocal.Set(cl.ShardsLocal)
-		tasksRemote.Set(cl.TasksRemote)
-		tasksLedger.Set(cl.TasksLedger)
-		workerDeaths.Set(cl.WorkerDeaths)
-		workerRejoins.Set(cl.WorkerRejoins)
 
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)

@@ -105,10 +105,6 @@ type Config struct {
 	// SlowRequest promotes the access-log line of any request at or above
 	// this duration to warning level; 0 disables the promotion.
 	SlowRequest time.Duration
-	// Worker enables GET /api/v1/shards/run, the cluster shard-execution
-	// endpoint (prefetchd -join). Disabled servers answer it with 404, so
-	// only fleets that opted in serve remote work.
-	Worker bool
 }
 
 // Server is the hardened HTTP front end. Create with New, expose via
@@ -132,12 +128,6 @@ type Server struct {
 	start       time.Time
 	drain       atomic.Bool
 }
-
-// Fingerprint derives the checkpoint configuration fingerprint of a set of
-// base options — the same scheme the CLI and the cluster shard ledger use,
-// covering exactly the options that change task results (never
-// workers/timeouts, which only change scheduling).
-func Fingerprint(o experiments.Options) string { return o.Fingerprint() }
 
 // New builds a Server from cfg, applying defaults.
 func New(cfg Config) *Server {
@@ -196,7 +186,7 @@ func New(cfg Config) *Server {
 		metrics:     newMetrics(reg),
 		logger:      logger,
 		prof:        pipeline.NewProfiler(sampler.Config{Period: base.SamplerPeriod, Seed: base.Seed}),
-		fingerprint: Fingerprint(base),
+		fingerprint: base.Fingerprint(),
 		idBase:      fmt.Sprintf("pfd-%08x", uint32(time.Now().UnixNano())),
 		start:       time.Now(),
 	}

@@ -287,7 +287,7 @@ func TestBreakerOpensOnFailureBurstAndProbes(t *testing.T) {
 	// probe; it fails (faults persist) and the breaker re-opens.
 	clock := newFakeClock()
 	clock.t = time.Now().Add(2 * time.Hour)
-	s.breaker.SetClock(clock.now)
+	s.breaker.setClock(clock.now)
 	resp, _ = get(t, ts.URL+"/api/v1/figures/table1")
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("probe figure = %d, want 500", resp.StatusCode)
