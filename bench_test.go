@@ -393,3 +393,28 @@ func BenchmarkAnalyticMix(b *testing.B) {
 	}
 	b.ReportMetric(sd/float64(len(fastSet)), "mean-slowdown")
 }
+
+// BenchmarkAnalyticCore measures one cold analytic core build of
+// libquantum — the counting pass plus every latency-response pass, on a
+// fresh, already-profiled session — the one-off cost every analytic
+// prediction of a program pays first. The sampling pass and StatStack fit
+// run untimed.
+func BenchmarkAnalyticCore(b *testing.B) {
+	ctx := context.Background()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s := benchSession(b)
+		if _, err := s.Profile(ctx, "libquantum"); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		core, err := s.AnalyticCore(ctx, "libquantum")
+		if err != nil {
+			b.Fatal(err)
+		}
+		coreSink = core
+	}
+}
+
+// coreSink keeps BenchmarkAnalyticCore's result live.
+var coreSink analytic.Core

@@ -218,12 +218,22 @@ func (l constLat) Access(now int64, r ref.Ref) int64 {
 // working set larger than the filter re-enters its lines the way capacity
 // misses re-fetch them, while short-reuse accesses are never charged, just
 // as they never miss a cache of that size.
+//
+// The filter is two flat arrays: the resident lines as a move-to-front list
+// of nodes, and an open-addressed slot table mapping a line to its node
+// (linear probing on a multiplicative hash, at most half full, backward-shift
+// deletion on eviction so no tombstones accumulate). Every access is one
+// probe run and a few index swaps, with no allocation, and memory stays
+// bounded by the depth however large the program's footprint.
 type depthMem struct {
-	lat     int64
-	cap     int32
-	ready   map[uint64]int64
-	idx     map[uint64]int32 // line → node index
-	nodes   []lruNode
+	lat   int64
+	cap   int32
+	nodes []lruNode
+	// slots is the line → node table; a slot holds node index + 1, 0 when
+	// empty. Only its first mask+1 entries are in use at the current depth.
+	slots   []int32
+	mask    uint64
+	shift   uint8 // 64 − log2(mask+1): the hash keeps the product's top bits
 	mru     int32
 	lru     int32
 	entries int64
@@ -239,27 +249,77 @@ type depthMem struct {
 	batchSum2 int64
 }
 
-// lruNode is one resident line in the move-to-front list.
+// lruNode is one resident line in the move-to-front list. readyAt is when
+// the line's fetch completes; it is rewritten at every entry and read only
+// while the line is resident.
 type lruNode struct {
 	line       uint64
+	readyAt    int64
 	prev, next int32 // toward MRU / toward LRU; -1 at the ends
 }
 
 func newDepthMem(lat, depth int64) *depthMem {
+	m := &depthMem{}
+	m.reset(lat, depth)
+	return m
+}
+
+// reset empties the filter and rearms it at a new latency and depth,
+// reusing its arrays when they are large enough: a response measurement
+// builds one filter at its deepest depth and resets it for every grid cell.
+func (m *depthMem) reset(lat, depth int64) {
 	if depth < 1 {
 		depth = 1
 	}
-	return &depthMem{
+	bits := uint8(1)
+	for int64(1)<<bits < 2*depth {
+		bits++
+	}
+	size := 1 << bits
+	if cap(m.nodes) < int(depth) {
+		m.nodes = make([]lruNode, 0, depth)
+	}
+	if len(m.slots) < size {
+		m.slots = make([]int32, size)
+	}
+	clear(m.slots[:size])
+	*m = depthMem{
 		lat:       lat,
 		cap:       int32(depth),
-		ready:     make(map[uint64]int64),
-		idx:       make(map[uint64]int32, depth),
-		nodes:     make([]lruNode, 0, depth),
+		nodes:     m.nodes[:0],
+		slots:     m.slots,
+		mask:      uint64(size - 1),
+		shift:     64 - bits,
 		mru:       -1,
 		lru:       -1,
 		gap:       batchGap,
 		lastEntry: -1,
 	}
+}
+
+// home is a line's first probe slot (Fibonacci hashing: consecutive lines
+// scatter across the table).
+func (m *depthMem) home(line uint64) uint64 {
+	return (line * 0x9E3779B97F4A7C15) >> m.shift
+}
+
+// unslot removes node i from the slot table. Backward-shift deletion: each
+// later entry of the probe run moves into the hole unless its home lies
+// cyclically between the hole and its slot, so every remaining line stays
+// reachable from its home without tombstones.
+func (m *depthMem) unslot(i int32) {
+	s := m.home(m.nodes[i].line)
+	for m.slots[s] != i+1 {
+		s = (s + 1) & m.mask
+	}
+	for j := (s + 1) & m.mask; m.slots[j] != 0; j = (j + 1) & m.mask {
+		k := m.slots[j]
+		if (j-m.home(m.nodes[k-1].line))&m.mask >= (j-s)&m.mask {
+			m.slots[s] = k
+			s = j
+		}
+	}
+	m.slots[s] = 0
 }
 
 // batchW returns the transfer-weighted mean batch size E[B²]/E[B]: the
@@ -313,17 +373,22 @@ func (m *depthMem) Access(now int64, r ref.Ref) int64 {
 		return 0
 	}
 	line := r.Line()
-	if i, ok := m.idx[line]; ok {
-		if i != m.mru {
-			m.unlink(i)
-			m.pushFront(i)
-		}
-		if r.Kind == ref.Load {
-			if wait := m.ready[line] - now; wait > 0 {
-				return wait
+	s := m.home(line)
+	for k := m.slots[s]; k != 0; k = m.slots[s] {
+		i := k - 1
+		if m.nodes[i].line == line {
+			if i != m.mru {
+				m.unlink(i)
+				m.pushFront(i)
 			}
+			if r.Kind == ref.Load {
+				if wait := m.nodes[i].readyAt - now; wait > 0 {
+					return wait
+				}
+			}
+			return 0
 		}
-		return 0
+		s = (s + 1) & m.mask
 	}
 	m.entries++
 	if m.lastEntry >= 0 && now-m.lastEntry <= m.gap {
@@ -339,16 +404,20 @@ func (m *depthMem) Access(now int64, r ref.Ref) int64 {
 	var i int32
 	if int32(len(m.nodes)) < m.cap {
 		i = int32(len(m.nodes))
-		m.nodes = append(m.nodes, lruNode{line: line})
+		m.nodes = append(m.nodes, lruNode{})
 	} else {
 		i = m.lru
 		m.unlink(i)
-		delete(m.idx, m.nodes[i].line)
-		m.nodes[i].line = line
+		m.unslot(i)
+		// The deletion may have opened a hole on line's probe run: probe
+		// again for its first free slot.
+		for s = m.home(line); m.slots[s] != 0; s = (s + 1) & m.mask {
+		}
 	}
+	m.nodes[i].line = line
+	m.nodes[i].readyAt = now + m.lat
+	m.slots[s] = i + 1
 	m.pushFront(i)
-	m.idx[line] = i
-	m.ready[line] = now + m.lat
 	if r.Kind == ref.Load {
 		return m.lat
 	}
@@ -404,6 +473,12 @@ func MeasureResponse(c *isa.Compiled, loads, window int64, depths []int64) Laten
 		cycles, _ := runWindow(c, constLat(lat), window)
 		resp.Uniform[i] = perEvent(cycles, base, loads)
 	}
+	// One filter, sized for the deepest depth, serves every grid cell.
+	deepest := int64(1)
+	for _, depth := range depths {
+		deepest = max(deepest, depth)
+	}
+	mem := newDepthMem(0, deepest)
 	for d, depth := range depths {
 		lats := shallowLats
 		if deepDepth(depths, d) {
@@ -412,7 +487,7 @@ func MeasureResponse(c *isa.Compiled, loads, window int64, depths []int64) Laten
 		resp.DepthLats[d] = lats
 		resp.Extra[d] = make([]float64, len(lats))
 		for i, lat := range lats {
-			mem := newDepthMem(lat, depth)
+			mem.reset(lat, depth)
 			cycles, _ := runWindow(c, mem, window)
 			resp.Entries[d] = float64(mem.entries) / float64(instr)
 			resp.BatchW[d] = mem.batchW()
