@@ -81,17 +81,15 @@ type Config struct {
 	Policy Policy // replacement policy (default LRU)
 }
 
-// Line is one cache line's state.
+// Line is one cache line's state, as Insert reports an evicted line.
 type Line struct {
-	Tag      uint64 // line address
-	Valid    bool
-	Dirty    bool
-	NT       bool    // non-temporal: bypass lower levels on eviction
-	Src      FillSrc // what filled the line
-	Used     bool    // touched by a demand access since fill
-	ReadyAt  int64   // cycle at which the fill data arrives
-	lastUse  int64   // LRU stamp
-	filledAt int64   // fill stamp (FIFO replacement)
+	Tag     uint64 // line address
+	Valid   bool
+	Dirty   bool
+	NT      bool    // non-temporal: bypass lower levels on eviction
+	Src     FillSrc // what filled the line
+	Used    bool    // touched by a demand access since fill
+	ReadyAt int64   // cycle at which the fill data arrives
 }
 
 // Stats counts events at this level.
@@ -129,13 +127,35 @@ func (s Stats) String() string {
 		s.UselessSW, s.UselessHW)
 }
 
-// Cache is a single set-associative level.
+// invalidTag marks an empty way. Line addresses are byte addresses shifted
+// right by ref.LineBits, so no line address can take this value.
+const invalidTag = ^uint64(0)
+
+// Per-line flag bits. The fill source takes the five bits above them.
+const (
+	flagDirty uint8 = 1 << iota
+	flagNT
+	flagUsed
+	srcShift = iota
+)
+
+// Cache is a single set-associative level. Its state is a structure of
+// arrays indexed by set*Assoc+way: a set's tags form one contiguous row, so
+// the tag compare of a lookup and the stamp scan of a victim choice each
+// read only a few host cache lines, and the ready time and flags are read
+// only for the way that hit or the way being evicted. A Cache is not safe
+// for concurrent use: even Probe records the line it missed on.
 type Cache struct {
 	cfg     Config
 	sets    int
 	assoc   int
 	setMask uint64
-	lines   []Line
+	lru     bool     // refresh stamp on every use (all but FIFO) or only at fill
+	tags    []uint64 // line address per way, invalidTag when empty
+	stamp   []int64  // LRU: last use; FIFO: fill order (both from useCtr)
+	readyAt []int64  // cycle at which the fill data arrives
+	flags   []uint8  // flagDirty|flagNT|flagUsed | Src<<srcShift
+	absent  uint64   // a line known not to be resident (invalidTag if none)
 	useCtr  int64
 	rng     uint64 // xorshift state for Random replacement
 	stats   Stats
@@ -157,14 +177,19 @@ func New(cfg Config) (*Cache, error) {
 	if sets&(sets-1) != 0 {
 		return nil, fmt.Errorf("cache %q: set count %d not a power of two", cfg.Name, sets)
 	}
-	return &Cache{
+	c := &Cache{
 		cfg:     cfg,
 		sets:    int(sets),
 		assoc:   cfg.Assoc,
 		setMask: uint64(sets - 1),
-		lines:   make([]Line, lines),
-		rng:     0x9e3779b97f4a7c15,
-	}, nil
+		lru:     cfg.Policy != FIFO,
+		tags:    make([]uint64, lines),
+		stamp:   make([]int64, lines),
+		readyAt: make([]int64, lines),
+		flags:   make([]uint8, lines),
+	}
+	c.Reset()
+	return c, nil
 }
 
 // Config returns the cache's configuration.
@@ -176,10 +201,17 @@ func (c *Cache) Sets() int { return c.sets }
 // Stats returns a copy of the level statistics.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// setOf returns the slice of ways for the line address.
-func (c *Cache) setOf(line uint64) []Line {
+// find returns the index of the way holding line, or -1 if it is absent.
+// A miss is remembered in c.absent.
+func (c *Cache) find(line uint64) int {
 	s := int(line&c.setMask) * c.assoc
-	return c.lines[s : s+c.assoc]
+	for i, t := range c.tags[s : s+c.assoc] {
+		if t == line {
+			return s + i
+		}
+	}
+	c.absent = line
+	return -1
 }
 
 // Lookup performs a demand access to a line address at time now. On a hit it
@@ -187,48 +219,39 @@ func (c *Cache) setOf(line uint64) []Line {
 // in-flight latency (0 if the fill already completed). On a miss it returns
 // ok=false and records a miss.
 func (c *Cache) Lookup(line uint64, now int64) (wait int64, ok bool) {
-	set := c.setOf(line)
-	for i := range set {
-		l := &set[i]
-		if l.Valid && l.Tag == line {
-			c.useCtr++
-			l.lastUse = c.useCtr
-			l.Used = true
-			c.stats.Hits++
-			if l.ReadyAt > now {
-				c.stats.LateHits++
-				return l.ReadyAt - now, true
-			}
-			return 0, true
-		}
+	w := c.find(line)
+	if w < 0 {
+		c.stats.Misses++
+		return 0, false
 	}
-	c.stats.Misses++
-	return 0, false
+	c.useCtr++
+	if c.lru {
+		c.stamp[w] = c.useCtr
+	}
+	c.flags[w] |= flagUsed
+	c.stats.Hits++
+	if r := c.readyAt[w]; r > now {
+		c.stats.LateHits++
+		return r - now, true
+	}
+	return 0, true
 }
 
 // Probe reports whether the line is present without touching LRU, usage or
 // statistics. Hardware prefetchers use it to filter redundant prefetches.
-func (c *Cache) Probe(line uint64) bool {
-	set := c.setOf(line)
-	for i := range set {
-		if set[i].Valid && set[i].Tag == line {
-			return true
-		}
-	}
-	return false
-}
+func (c *Cache) Probe(line uint64) bool { return c.find(line) >= 0 }
 
-// Touch marks an existing line dirty (store hit). No-op if absent.
-func (c *Cache) Touch(line uint64, dirty bool) {
-	set := c.setOf(line)
-	for i := range set {
-		if set[i].Valid && set[i].Tag == line {
-			if dirty {
-				set[i].Dirty = true
-			}
-			return
-		}
+// Touch marks an existing line dirty (store hit) and reports whether the
+// line was present. It changes nothing if the line is absent.
+func (c *Cache) Touch(line uint64, dirty bool) bool {
+	w := c.find(line)
+	if w < 0 {
+		return false
 	}
+	if dirty {
+		c.flags[w] |= flagDirty
+	}
+	return true
 }
 
 // FillOpts qualifies an Insert.
@@ -245,32 +268,49 @@ type FillOpts struct {
 // install it one level down. Inserting a line that is already present
 // refreshes its metadata instead of duplicating it.
 func (c *Cache) Insert(line uint64, now int64, opts FillOpts) (victim Line, evicted bool) {
-	set := c.setOf(line)
-	victimIdx := -1
-	for i := range set {
-		l := &set[i]
-		if l.Valid && l.Tag == line {
+	// When the last scan missed on this line, only an Insert of it could
+	// have brought it in since, so the set need not be scanned again: the
+	// hierarchy inserts right after a Lookup, Probe or Touch miss.
+	if line != c.absent {
+		if w := c.find(line); w >= 0 {
 			// Refresh in place (e.g. prefetch to an already-present line).
 			if opts.Dirty {
-				l.Dirty = true
+				c.flags[w] |= flagDirty
 			}
-			if opts.ReadyAt < l.ReadyAt {
-				l.ReadyAt = opts.ReadyAt
+			if opts.ReadyAt < c.readyAt[w] {
+				c.readyAt[w] = opts.ReadyAt
 			}
 			c.useCtr++
-			l.lastUse = c.useCtr
+			if c.lru {
+				c.stamp[w] = c.useCtr
+			}
 			return Line{}, false
 		}
-		if !l.Valid {
-			victimIdx = i
+	}
+	s := int(line&c.setMask) * c.assoc
+	tags := c.tags[s : s+c.assoc]
+	var w int
+	if tags[0] == invalidTag {
+		// A fill takes the set's last empty way and only Reset empties a
+		// way, so the empty ways are always a prefix of the set: fill the
+		// last way of that prefix.
+		i := 1
+		for i < len(tags) && tags[i] == invalidTag {
+			i++
 		}
-	}
-	if victimIdx < 0 {
-		victimIdx = c.victim(set)
-	}
-	l := &set[victimIdx]
-	if l.Valid {
-		victim = *l
+		w = s + i - 1
+	} else {
+		w = s + c.victim(s)
+		f := c.flags[w]
+		victim = Line{
+			Tag:     c.tags[w],
+			Valid:   true,
+			Dirty:   f&flagDirty != 0,
+			NT:      f&flagNT != 0,
+			Src:     FillSrc(f >> srcShift),
+			Used:    f&flagUsed != 0,
+			ReadyAt: c.readyAt[w],
+		}
 		evicted = true
 		c.stats.Evictions++
 		if victim.Dirty {
@@ -284,59 +324,57 @@ func (c *Cache) Insert(line uint64, now int64, opts FillOpts) (victim Line, evic
 			}
 		}
 	}
+	c.absent = invalidTag
 	c.useCtr++
-	*l = Line{
-		Tag:      line,
-		Valid:    true,
-		Dirty:    opts.Dirty,
-		NT:       opts.NT,
-		Src:      opts.Src,
-		Used:     opts.Used,
-		ReadyAt:  opts.ReadyAt,
-		lastUse:  c.useCtr,
-		filledAt: c.useCtr,
+	f := uint8(opts.Src) << srcShift
+	if opts.Dirty {
+		f |= flagDirty
 	}
+	if opts.NT {
+		f |= flagNT
+	}
+	if opts.Used {
+		f |= flagUsed
+	}
+	c.tags[w] = line
+	c.stamp[w] = c.useCtr
+	c.readyAt[w] = opts.ReadyAt
+	c.flags[w] = f
 	c.stats.Fills++
 	return victim, evicted
 }
 
-// victim picks the way to evict from a full set according to the policy.
-func (c *Cache) victim(set []Line) int {
-	switch c.cfg.Policy {
-	case Random:
+// victim picks the way to evict from the full set starting at index s
+// according to the policy.
+func (c *Cache) victim(s int) int {
+	if c.cfg.Policy == Random {
 		// xorshift64*: deterministic and fast.
 		c.rng ^= c.rng << 13
 		c.rng ^= c.rng >> 7
 		c.rng ^= c.rng << 17
-		return int(c.rng % uint64(len(set)))
-	case FIFO:
-		min := int64(1<<63 - 1)
-		idx := 0
-		for i := range set {
-			if set[i].filledAt < min {
-				min = set[i].filledAt
-				idx = i
-			}
-		}
-		return idx
-	default: // LRU
-		min := int64(1<<63 - 1)
-		idx := 0
-		for i := range set {
-			if set[i].lastUse < min {
-				min = set[i].lastUse
-				idx = i
-			}
-		}
-		return idx
+		return int(c.rng % uint64(c.assoc))
 	}
+	// LRU and FIFO both evict the smallest stamp; ties go to the lowest way.
+	min := int64(1<<63 - 1)
+	idx := 0
+	for i, st := range c.stamp[s : s+c.assoc] {
+		if st < min {
+			min = st
+			idx = i
+		}
+	}
+	return idx
 }
 
 // Reset invalidates all lines and zeroes statistics.
 func (c *Cache) Reset() {
-	for i := range c.lines {
-		c.lines[i] = Line{}
+	for i := range c.tags {
+		c.tags[i] = invalidTag
 	}
+	clear(c.stamp)
+	clear(c.readyAt)
+	clear(c.flags)
+	c.absent = invalidTag
 	c.useCtr = 0
 	c.rng = 0x9e3779b97f4a7c15
 	c.stats = Stats{}

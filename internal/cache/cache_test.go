@@ -264,3 +264,291 @@ func TestStatsString(t *testing.T) {
 		t.Errorf("idle MissRatio = %g, want 0", idle.MissRatio())
 	}
 }
+
+// aosLine and aosCache are the array-of-structs layout the package used
+// before its tags, stamps and flags were split into per-level arrays. They
+// are kept here, unchanged but for their names and Touch's result, as the
+// oracle the differential tests below drive in lockstep with Cache.
+type aosLine struct {
+	Tag      uint64
+	Valid    bool
+	Dirty    bool
+	NT       bool
+	Src      FillSrc
+	Used     bool
+	ReadyAt  int64
+	lastUse  int64
+	filledAt int64
+}
+
+type aosCache struct {
+	cfg     Config
+	assoc   int
+	setMask uint64
+	lines   []aosLine
+	useCtr  int64
+	rng     uint64
+	stats   Stats
+}
+
+func newAOS(cfg Config) *aosCache {
+	lines := cfg.Size / 64
+	return &aosCache{
+		cfg:     cfg,
+		assoc:   cfg.Assoc,
+		setMask: uint64(lines/int64(cfg.Assoc) - 1),
+		lines:   make([]aosLine, lines),
+		rng:     0x9e3779b97f4a7c15,
+	}
+}
+
+func (c *aosCache) setOf(line uint64) []aosLine {
+	s := int(line&c.setMask) * c.assoc
+	return c.lines[s : s+c.assoc]
+}
+
+func (c *aosCache) Lookup(line uint64, now int64) (wait int64, ok bool) {
+	set := c.setOf(line)
+	for i := range set {
+		l := &set[i]
+		if l.Valid && l.Tag == line {
+			c.useCtr++
+			l.lastUse = c.useCtr
+			l.Used = true
+			c.stats.Hits++
+			if l.ReadyAt > now {
+				c.stats.LateHits++
+				return l.ReadyAt - now, true
+			}
+			return 0, true
+		}
+	}
+	c.stats.Misses++
+	return 0, false
+}
+
+func (c *aosCache) Probe(line uint64) bool {
+	set := c.setOf(line)
+	for i := range set {
+		if set[i].Valid && set[i].Tag == line {
+			return true
+		}
+	}
+	return false
+}
+
+func (c *aosCache) Touch(line uint64, dirty bool) bool {
+	set := c.setOf(line)
+	for i := range set {
+		if set[i].Valid && set[i].Tag == line {
+			if dirty {
+				set[i].Dirty = true
+			}
+			return true
+		}
+	}
+	return false
+}
+
+func (c *aosCache) Insert(line uint64, now int64, opts FillOpts) (victim aosLine, evicted bool) {
+	set := c.setOf(line)
+	victimIdx := -1
+	for i := range set {
+		l := &set[i]
+		if l.Valid && l.Tag == line {
+			if opts.Dirty {
+				l.Dirty = true
+			}
+			if opts.ReadyAt < l.ReadyAt {
+				l.ReadyAt = opts.ReadyAt
+			}
+			c.useCtr++
+			l.lastUse = c.useCtr
+			return aosLine{}, false
+		}
+		if !l.Valid {
+			victimIdx = i
+		}
+	}
+	if victimIdx < 0 {
+		victimIdx = c.victim(set)
+	}
+	l := &set[victimIdx]
+	if l.Valid {
+		victim = *l
+		evicted = true
+		c.stats.Evictions++
+		if victim.Dirty {
+			c.stats.Writebacks++
+		}
+		if victim.Src != FillDemand && !victim.Used {
+			if victim.Src == FillSW {
+				c.stats.UselessSW++
+			} else {
+				c.stats.UselessHW++
+			}
+		}
+	}
+	c.useCtr++
+	*l = aosLine{
+		Tag:      line,
+		Valid:    true,
+		Dirty:    opts.Dirty,
+		NT:       opts.NT,
+		Src:      opts.Src,
+		Used:     opts.Used,
+		ReadyAt:  opts.ReadyAt,
+		lastUse:  c.useCtr,
+		filledAt: c.useCtr,
+	}
+	c.stats.Fills++
+	return victim, evicted
+}
+
+func (c *aosCache) victim(set []aosLine) int {
+	switch c.cfg.Policy {
+	case Random:
+		c.rng ^= c.rng << 13
+		c.rng ^= c.rng >> 7
+		c.rng ^= c.rng << 17
+		return int(c.rng % uint64(len(set)))
+	case FIFO:
+		min := int64(1<<63 - 1)
+		idx := 0
+		for i := range set {
+			if set[i].filledAt < min {
+				min = set[i].filledAt
+				idx = i
+			}
+		}
+		return idx
+	default:
+		min := int64(1<<63 - 1)
+		idx := 0
+		for i := range set {
+			if set[i].lastUse < min {
+				min = set[i].lastUse
+				idx = i
+			}
+		}
+		return idx
+	}
+}
+
+func (c *aosCache) Reset() {
+	for i := range c.lines {
+		c.lines[i] = aosLine{}
+	}
+	c.useCtr = 0
+	c.rng = 0x9e3779b97f4a7c15
+	c.stats = Stats{}
+}
+
+// opBytes is how many bytes of a differential program one operation reads.
+const opBytes = 7
+
+// diffSets is the set count of every differential geometry: few sets, so
+// each set sees many fills and evictions.
+const diffSets = 4
+
+// runCacheDiff decodes prog into operations and drives them through a Cache
+// and the AoS oracle of the same geometry, failing on the first return
+// value that differs and on any difference in the final statistics. Each
+// operation reads opBytes bytes: the operation and its flags, a line (two
+// bytes, indexing a pool of twice the cache's lines, optionally moved up by
+// the private-lines core tag; one flag reuses the previous line instead),
+// the access time (two bytes) and the fill delay of an Insert.
+func runCacheDiff(t *testing.T, policy Policy, assoc int, prog []byte) {
+	t.Helper()
+	cfg := Config{Name: "diff", Size: int64(diffSets * assoc * 64), Assoc: assoc, Policy: policy}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := newAOS(cfg)
+	pool := uint64(2 * diffSets * assoc)
+	var line uint64
+	for n := 0; len(prog) >= opBytes; n, prog = n+1, prog[opBytes:] {
+		op, flags := prog[0]%16, prog[1]
+		if flags&0x40 == 0 { // else reuse the last line, e.g. a miss then its Insert
+			line = (uint64(prog[2])<<8 | uint64(prog[3])) % pool
+			if flags&0x80 != 0 {
+				line |= 1 << 48
+			}
+		}
+		now := int64(prog[4])<<8 | int64(prog[5])
+		switch {
+		case op < 6:
+			w, ok := c.Lookup(line, now)
+			ow, ook := o.Lookup(line, now)
+			if w != ow || ok != ook {
+				t.Fatalf("op %d Lookup(%d, %d) = %d, %v; oracle %d, %v", n, line, now, w, ok, ow, ook)
+			}
+		case op < 8:
+			if got, want := c.Probe(line), o.Probe(line); got != want {
+				t.Fatalf("op %d Probe(%d) = %v; oracle %v", n, line, got, want)
+			}
+		case op < 10:
+			dirty := flags&1 != 0
+			if got, want := c.Touch(line, dirty), o.Touch(line, dirty); got != want {
+				t.Fatalf("op %d Touch(%d, %v) = %v; oracle %v", n, line, dirty, got, want)
+			}
+		case op < 15:
+			opts := FillOpts{
+				Dirty:   flags&1 != 0,
+				NT:      flags&2 != 0,
+				Src:     FillSrc(flags >> 2 % 3),
+				Used:    flags&0x10 != 0,
+				ReadyAt: now + int64(prog[6]) - 64,
+			}
+			v, ev := c.Insert(line, now, opts)
+			ov, oev := o.Insert(line, now, opts)
+			want := Line{Tag: ov.Tag, Valid: ov.Valid, Dirty: ov.Dirty, NT: ov.NT,
+				Src: ov.Src, Used: ov.Used, ReadyAt: ov.ReadyAt}
+			if v != want || ev != oev {
+				t.Fatalf("op %d Insert(%d, %d, %+v) = %+v, %v; oracle %+v, %v", n, line, now, opts, v, ev, want, oev)
+			}
+		default:
+			if flags == 0 { // a rare Reset, so sets fill up between them
+				c.Reset()
+				o.Reset()
+			}
+		}
+	}
+	if st, ost := c.Stats(), o.stats; st != ost {
+		t.Fatalf("Stats() = %+v; oracle %+v", st, ost)
+	}
+}
+
+// diffAssocs are the associativities the differential tests cover: direct
+// mapped, AMD's 2-way L1, Intel's 8-way L1/L2, 16-way L2/LLC and AMD's
+// 48-way LLC.
+var diffAssocs = []int{1, 2, 8, 16, 48}
+
+// TestCacheMatchesAOSOracle drives seeded operation streams through Cache
+// and the AoS oracle for every policy and associativity.
+func TestCacheMatchesAOSOracle(t *testing.T) {
+	for _, policy := range []Policy{LRU, FIFO, Random} {
+		for _, assoc := range diffAssocs {
+			for seed := int64(1); seed <= 3; seed++ {
+				prog := make([]byte, 20000*opBytes)
+				rand.New(rand.NewSource(seed)).Read(prog)
+				runCacheDiff(t, policy, assoc, prog)
+			}
+		}
+	}
+}
+
+// FuzzCacheOps runs the differential harness on fuzzed operation streams.
+func FuzzCacheOps(f *testing.F) {
+	for i, policy := range []Policy{LRU, FIFO, Random} {
+		for j := range diffAssocs {
+			prog := make([]byte, 500*opBytes)
+			rand.New(rand.NewSource(int64(10*i + j))).Read(prog)
+			f.Add(uint8(policy), uint8(j), prog)
+		}
+	}
+	f.Fuzz(func(t *testing.T, policy, assoc uint8, prog []byte) {
+		runCacheDiff(t, Policy(policy%3), diffAssocs[int(assoc)%len(diffAssocs)], prog)
+	})
+}

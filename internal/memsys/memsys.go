@@ -219,8 +219,8 @@ func (h *Hierarchy) ResetCore(c int) {
 	}
 }
 
-// countPC bumps the per-PC counters, growing them if the program was not
-// registered via SetCorePCs.
+// grow extends a per-PC counter slice so pc indexes it, for programs whose
+// PC count was not registered via SetCorePCs.
 func grow(s []int64, pc ref.PC) []int64 {
 	for int(pc) >= len(s) {
 		s = append(s, 0)
@@ -464,9 +464,7 @@ func (h *Hierarchy) installL1(c int, line uint64, now int64, opts cache.FillOpts
 	}
 	if victim.Dirty {
 		// Write-back into L2 (mark dirty there, installing if absent).
-		if cs.l2.Probe(victim.Tag) {
-			cs.l2.Touch(victim.Tag, true)
-		} else {
+		if !cs.l2.Touch(victim.Tag, true) {
 			h.installL2(c, victim.Tag, now, cache.FillOpts{Dirty: true, Src: victim.Src, Used: victim.Used})
 		}
 	}
@@ -480,9 +478,7 @@ func (h *Hierarchy) installL2(c int, line uint64, now int64, opts cache.FillOpts
 		return
 	}
 	if victim.Dirty {
-		if h.llc.Probe(victim.Tag) {
-			h.llc.Touch(victim.Tag, true)
-		} else {
+		if !h.llc.Touch(victim.Tag, true) {
 			h.installLLC(c, victim.Tag, now, cache.FillOpts{Dirty: true, Src: victim.Src, Used: victim.Used})
 		}
 	}
