@@ -1,14 +1,16 @@
 // Command benchjson converts `go test -bench` text output on stdin into a
 // stable JSON document on stdout, so CI can archive benchmark results as a
-// machine-readable artifact (BENCH_PR2.json) and diff them across runs.
+// machine-readable artifact (BENCH_NIGHTLY.json) and diff them across runs.
 //
 // Usage:
 //
-//	go test -bench=. -benchmem ./... | benchjson > BENCH_PR6.json
+//	go test -bench=. -benchmem ./... | benchjson > BENCH_NIGHTLY.json
 //
-// Benchmarks are keyed by name with the -N CPU suffix stripped and sorted,
-// so the output is diff-friendly: reordering or interleaving in the bench
-// run does not change the document.
+// Benchmarks are keyed by package and name (the -N CPU suffix stripped)
+// and sorted, so the output is diff-friendly: reordering or interleaving in
+// the bench run does not change the document, and same-named benchmarks of
+// two packages are both kept. Each result records the package of the
+// latest `pkg:` header line before it.
 //
 // The -require flag takes a comma-separated list of benchmark names that
 // must appear in the input; any missing name is a fatal error. CI passes
@@ -32,6 +34,7 @@ import (
 // via b.ReportMetric (the experiment benchmarks report figure headline
 // numbers this way, e.g. "amd-swnt-ws-%").
 type Result struct {
+	Pkg         string             `json:"pkg,omitempty"`
 	Name        string             `json:"name"`
 	Iterations  int64              `json:"iterations"`
 	NsPerOp     float64            `json:"ns_per_op"`
@@ -40,7 +43,9 @@ type Result struct {
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
-// Document is the exported JSON shape.
+// Document is the exported JSON shape. Pkg names the package when every
+// benchmark comes from one; a multi-package run leaves it empty and each
+// Result carries its own.
 type Document struct {
 	Goos       string   `json:"goos,omitempty"`
 	Goarch     string   `json:"goarch,omitempty"`
@@ -91,11 +96,16 @@ func parseBenchLine(line string) (Result, bool, error) {
 	return res, true, nil
 }
 
+// benchKey identifies a benchmark across a multi-package run.
+type benchKey struct{ pkg, name string }
+
 // parse reads go-test bench output and builds the document. Later results
-// for the same benchmark name overwrite earlier ones (re-runs supersede).
+// for the same package and benchmark name overwrite earlier ones (re-runs
+// supersede).
 func parse(r io.Reader) (Document, error) {
 	doc := Document{Benchmarks: []Result{}}
-	byName := map[string]Result{}
+	byKey := map[benchKey]Result{}
+	pkg := ""
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -106,7 +116,7 @@ func parse(r io.Reader) (Document, error) {
 		case strings.HasPrefix(line, "goarch: "):
 			doc.Goarch = strings.TrimPrefix(line, "goarch: ")
 		case strings.HasPrefix(line, "pkg: "):
-			doc.Pkg = strings.TrimPrefix(line, "pkg: ")
+			pkg = strings.TrimPrefix(line, "pkg: ")
 		case strings.HasPrefix(line, "cpu: "):
 			doc.CPU = strings.TrimPrefix(line, "cpu: ")
 		}
@@ -115,19 +125,27 @@ func parse(r io.Reader) (Document, error) {
 			return doc, err
 		}
 		if ok {
-			byName[res.Name] = res
+			res.Pkg = pkg
+			byKey[benchKey{pkg, res.Name}] = res
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return doc, err
 	}
-	names := make([]string, 0, len(byName))
-	for n := range byName {
-		names = append(names, n)
+	pkgs := map[string]bool{}
+	for k, res := range byKey {
+		pkgs[k.pkg] = true
+		doc.Benchmarks = append(doc.Benchmarks, res)
 	}
-	sort.Strings(names)
-	for _, n := range names {
-		doc.Benchmarks = append(doc.Benchmarks, byName[n])
+	sort.Slice(doc.Benchmarks, func(i, j int) bool {
+		a, b := doc.Benchmarks[i], doc.Benchmarks[j]
+		if a.Pkg != b.Pkg {
+			return a.Pkg < b.Pkg
+		}
+		return a.Name < b.Name
+	})
+	if len(pkgs) == 1 {
+		doc.Pkg = doc.Benchmarks[0].Pkg
 	}
 	return doc, nil
 }

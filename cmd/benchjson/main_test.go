@@ -90,3 +90,48 @@ func TestMissingRequiredBenchmarks(t *testing.T) {
 		t.Errorf("missing with empty list = %v", m)
 	}
 }
+
+func TestParseMultiplePackages(t *testing.T) {
+	// The same benchmark name in two packages: both kept, each tagged with
+	// the package of the pkg: line above it, sorted by package then name.
+	in := `goos: linux
+pkg: prefetchlab
+BenchmarkAnalyticMix-2 10 300 ns/op
+BenchmarkShared-2 1 100 ns/op
+PASS
+ok  	prefetchlab	1.0s
+pkg: prefetchlab/internal/analytic
+BenchmarkShared-2 1 200 ns/op
+BenchmarkPredict/mix-2 100 40 ns/op
+PASS
+ok  	prefetchlab/internal/analytic	1.0s
+`
+	doc, err := parse(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type row struct {
+		pkg, name string
+		ns        float64
+	}
+	want := []row{
+		{"prefetchlab", "BenchmarkAnalyticMix", 300},
+		{"prefetchlab", "BenchmarkShared", 100},
+		{"prefetchlab/internal/analytic", "BenchmarkPredict/mix", 40},
+		{"prefetchlab/internal/analytic", "BenchmarkShared", 200},
+	}
+	if len(doc.Benchmarks) != len(want) {
+		t.Fatalf("benchmarks = %+v", doc.Benchmarks)
+	}
+	for i, w := range want {
+		if b := doc.Benchmarks[i]; b.Pkg != w.pkg || b.Name != w.name || b.NsPerOp != w.ns {
+			t.Errorf("benchmark %d = %+v, want %+v", i, b, w)
+		}
+	}
+	if doc.Pkg != "" {
+		t.Errorf("document pkg = %q, want empty for a multi-package run", doc.Pkg)
+	}
+	if m := missing(doc, "BenchmarkShared,BenchmarkPredict/mix"); m != nil {
+		t.Errorf("missing = %v, want none", m)
+	}
+}

@@ -442,8 +442,10 @@ func runWindow(c *isa.Compiled, mem isa.MemSystem, window int64) (int64, *isa.VM
 // and depth grid: a zero-latency run for the compute floor, one uniform
 // run per uniformLats point, and one depth run per (depth, latency) grid
 // cell. loads is the program's load count (from CountRefs); it normalizes
-// the uniform curve. depths must be ascending; shallow depths (below the
-// last two, the LLC-scale points) use the shallow latency grid.
+// the uniform curve. depths must be ascending, laid out as machineDepths
+// lays them out: the first two (the private L1 and L2 points) use the
+// shallow latency grid, every later one (the LLC-scale points) the deep
+// grid.
 func MeasureResponse(c *isa.Compiled, loads, window int64, depths []int64) LatencyResponse {
 	base, vm := runWindow(c, constLat(0), window)
 	instr := vm.Instructions()
@@ -481,7 +483,7 @@ func MeasureResponse(c *isa.Compiled, loads, window int64, depths []int64) Laten
 	mem := newDepthMem(0, deepest)
 	for d, depth := range depths {
 		lats := shallowLats
-		if deepDepth(depths, d) {
+		if deepDepth(d) {
 			lats = deepLats
 		}
 		resp.DepthLats[d] = lats
@@ -499,7 +501,7 @@ func MeasureResponse(c *isa.Compiled, loads, window int64, depths []int64) Laten
 
 // deepDepth reports whether depth index d is an LLC-scale point (priced on
 // the deep latency grid): any depth past the two private-cache points.
-func deepDepth(depths []int64, d int) bool { return d >= 2 }
+func deepDepth(d int) bool { return d >= 2 }
 
 // perEvent converts a pass's extra cycles over the zero-latency baseline
 // into mean extra cycles per charged event, clamped at zero.
@@ -516,7 +518,7 @@ func perEvent(cycles, base, events int64) float64 {
 
 // UniformAt interpolates the uniform (per-load) response at an arbitrary
 // latency.
-func (r LatencyResponse) UniformAt(lat float64) float64 {
+func (r *LatencyResponse) UniformAt(lat float64) float64 {
 	return interpResponse(r.UniformLats, r.Uniform, lat)
 }
 
@@ -524,49 +526,101 @@ func (r LatencyResponse) UniformAt(lat float64) float64 {
 // when line entries past depth (in cache lines) cost lat — piecewise
 // linearly in latency within each measured depth and linearly in log depth
 // between depths, clamped at the depth-grid ends.
-func (r LatencyResponse) ExtraAt(depth, lat float64) float64 {
+func (r *LatencyResponse) ExtraAt(depth, lat float64) float64 {
 	if len(r.Depths) == 0 {
 		return 0
 	}
-	return interpDepth(r.Depths, depth, func(d int) float64 {
-		return interpResponse(r.DepthLats[d], r.Extra[d], lat)
-	})
+	p := locateDepth(r.Depths, nil, depth)
+	return r.extraAt(&p, lat)
+}
+
+// extraAt is ExtraAt at a depth already located on r's depth grid.
+func (r *LatencyResponse) extraAt(p *depthPos, lat float64) float64 {
+	lo := interpResponse(r.DepthLats[p.lo], r.Extra[p.lo], lat)
+	if p.lo == p.hi {
+		return lo
+	}
+	return p.blend(lo, interpResponse(r.DepthLats[p.hi], r.Extra[p.hi], lat))
 }
 
 // BatchWAt interpolates the transfer-weighted mean batch size at an
 // arbitrary depth (linearly in log depth, clamped at the grid ends).
 // Returns 1 — isolated arrivals — when the response carries no batch data.
-func (r LatencyResponse) BatchWAt(depth float64) float64 {
-	if len(r.BatchW) != len(r.Depths) || len(r.Depths) == 0 {
+func (r *LatencyResponse) BatchWAt(depth float64) float64 {
+	if !r.hasBatchW() {
 		return 1
 	}
-	w := interpDepth(r.Depths, depth, func(d int) float64 { return r.BatchW[d] })
+	p := locateDepth(r.Depths, nil, depth)
+	return r.batchWAt(&p)
+}
+
+// hasBatchW reports whether r carries one batch size per depth.
+func (r *LatencyResponse) hasBatchW() bool {
+	return len(r.BatchW) == len(r.Depths) && len(r.Depths) > 0
+}
+
+// batchWAt is BatchWAt at a depth already located on r's depth grid; r
+// must carry batch data.
+func (r *LatencyResponse) batchWAt(p *depthPos) float64 {
+	w := p.blend(r.BatchW[p.lo], r.BatchW[p.hi])
 	if w < 1 {
 		return 1
 	}
 	return w
 }
 
-// interpDepth interpolates at(d) linearly in log depth over an ascending
-// depth grid, clamping at the ends.
-func interpDepth(depths []int64, depth float64, at func(d int) float64) float64 {
+// depthPos is a depth located on an ascending depth grid: the bracketing
+// grid indices lo and hi = lo+1 and the log-depth weight t of hi, or
+// lo == hi at a clamped end of the grid (and on a one-point grid). Every
+// depth interpolation — the fixed point's, ExtraAt's, BatchWAt's and
+// interpDepth's — goes through one position, so a depth costs one Log and
+// one bracket search however many curves are read at it.
+type depthPos struct {
+	lo, hi int
+	t      float64
+}
+
+// locateDepth places depth on the ascending grid depths. logs, when not
+// nil, holds math.Log of each grid point (a caller locating many depths
+// on one grid computes them once); nil computes the two it needs.
+func locateDepth(depths []int64, logs []float64, depth float64) depthPos {
 	nd := len(depths)
 	if depth <= float64(depths[0]) || nd == 1 {
-		return at(0)
+		return depthPos{}
 	}
 	if depth >= float64(depths[nd-1]) {
-		return at(nd - 1)
+		return depthPos{lo: nd - 1, hi: nd - 1}
 	}
 	x := math.Log(depth)
 	for d := 1; d < nd; d++ {
 		hi := float64(depths[d])
 		if depth <= hi {
-			lo := float64(depths[d-1])
-			t := (x - math.Log(lo)) / (math.Log(hi) - math.Log(lo))
-			return at(d-1) + t*(at(d)-at(d-1))
+			var logLo, logHi float64
+			if logs != nil {
+				logLo, logHi = logs[d-1], logs[d]
+			} else {
+				logLo, logHi = math.Log(float64(depths[d-1])), math.Log(hi)
+			}
+			return depthPos{lo: d - 1, hi: d, t: (x - logLo) / (logHi - logLo)}
 		}
 	}
-	return at(nd - 1)
+	return depthPos{lo: nd - 1, hi: nd - 1} // NaN depth
+}
+
+// blend interpolates between the values at the position's two grid
+// points; at a clamped end it is the one point's value.
+func (p *depthPos) blend(lo, hi float64) float64 {
+	if p.lo == p.hi {
+		return lo
+	}
+	return lo + p.t*(hi-lo)
+}
+
+// interpDepth interpolates at(d) linearly in log depth over an ascending
+// depth grid, clamping at the ends.
+func interpDepth(depths []int64, depth float64, at func(d int) float64) float64 {
+	p := locateDepth(depths, nil, depth)
+	return p.blend(at(p.lo), at(p.hi))
 }
 
 // interpResponse interpolates a response curve: linear through the origin
@@ -654,14 +708,20 @@ func machineDepths(mach machine.Machine) []int64 {
 	}
 }
 
+// noResponse is the response of a core that measured none: every curve
+// empty, so it prices no latency.
+var noResponse LatencyResponse
+
 // respFor picks the latency response matching a machine's reorder window,
 // falling back to the nearest window if the exact one was not measured.
-func (c Core) respFor(mach machine.Machine) LatencyResponse {
+// The result points into c.Resps (or at noResponse) and is read-only.
+func (c *Core) respFor(mach machine.Machine) *LatencyResponse {
 	if len(c.Resps) == 0 {
-		return LatencyResponse{}
+		return &noResponse
 	}
 	best, bestDist := 0, int64(-1)
-	for i, r := range c.Resps {
+	for i := range c.Resps {
+		r := &c.Resps[i]
 		if r.Window == mach.Window {
 			return r
 		}
@@ -673,7 +733,7 @@ func (c Core) respFor(mach machine.Machine) LatencyResponse {
 			best, bestDist = i, d
 		}
 	}
-	return c.Resps[best]
+	return &c.Resps[best]
 }
 
 // stridedFraction computes the sample-weighted regular-stride fraction.
@@ -746,10 +806,11 @@ type Prediction struct {
 	BusUtilization float64
 }
 
-// coreState is the mutable per-core fixed-point state.
+// coreState is the per-core fixed-point state: the inputs that stay fixed
+// across iterations, precomputed once, then the iterated values.
 type coreState struct {
 	model     *statstack.Model
-	resp      LatencyResponse
+	resp      *LatencyResponse
 	instr     float64
 	refsPerIn float64
 	wbFrac    float64
@@ -758,11 +819,21 @@ type coreState struct {
 	// the program's uniform response at the L1 hit stall (L1Lat−1, the
 	// latency the simulator charges a hitting load at first use).
 	hitCPI float64
+	// logDepths is math.Log of each point of resp's depth grid.
+	logDepths []float64
+	// term2 is the CPI term of the L1-miss/L2-hit population, and extraL2
+	// the depth response at the L2 depth priced at the LLC excess latency:
+	// neither depends on the LLC share.
+	term2, extraL2 float64
 
 	cpi    float64
 	occ    float64
 	mrLLC  float64
 	bwCore float64 // bytes per cycle, fetches + writebacks
+	// pos is the current LLC share located on resp's depth grid, and
+	// batchW resp's batch size there; both are refreshed with occ.
+	pos    depthPos
+	batchW float64
 }
 
 // Predict composes the cores' MRCs into the shared-LLC fixed point on mach
@@ -775,8 +846,8 @@ func Predict(mach machine.Machine, cores []Core) Prediction {
 		return out
 	}
 	states := make([]coreState, len(cores))
-	for i, c := range cores {
-		states[i] = newCoreState(mach, c, int64(len(cores)))
+	for i := range cores {
+		states[i] = newCoreState(mach, &cores[i], int64(len(cores)))
 	}
 	util := iterate(mach, states)
 	out.BusUtilization = util
@@ -813,7 +884,7 @@ func Predict(mach machine.Machine, cores []Core) Prediction {
 
 // newCoreState precomputes one core's invariant inputs and seeds the fixed
 // point with an even LLC split and the all-hits CPI floor.
-func newCoreState(mach machine.Machine, c Core, n int64) coreState {
+func newCoreState(mach machine.Machine, c *Core, n int64) coreState {
 	st := coreState{
 		model: c.Model,
 		resp:  c.respFor(mach),
@@ -840,7 +911,37 @@ func newCoreState(mach machine.Machine, c Core, n int64) coreState {
 		st.mr2 = math.Min(st.mr1, c.Model.MissRatio(mach.L2.Size))
 		st.mrLLC = math.Min(st.mr2, c.Model.MissRatio(int64(st.occ)))
 	}
+	// The L1- and L2-depth terms of the CPI (see iterate) at fixed depths
+	// and latencies.
+	l1 := float64(mach.L1Lat)
+	dL1 := float64(mach.L1.Size / ref.LineSize)
+	dL2 := float64(mach.L2.Size / ref.LineSize)
+	lat2 := float64(mach.L2Lat) - l1
+	lat3 := float64(mach.LLCLat) - l1
+	st.term2 = st.resp.ExtraAt(dL1, lat2) - st.resp.ExtraAt(dL2, lat2)
+	if st.term2 < 0 {
+		st.term2 = 0
+	}
+	st.extraL2 = st.resp.ExtraAt(dL2, lat3)
+	st.logDepths = make([]float64, len(st.resp.Depths))
+	for d, depth := range st.resp.Depths {
+		st.logDepths[d] = math.Log(float64(depth))
+	}
+	st.batchW = 1
 	return st
+}
+
+// locate places the core's current LLC share on its depth grid and reads
+// its batch size there.
+func (st *coreState) locate() {
+	r := st.resp
+	if len(r.Depths) == 0 {
+		return
+	}
+	st.pos = locateDepth(r.Depths, st.logDepths, st.occ/ref.LineSize)
+	if r.hasBatchW() {
+		st.batchW = r.batchWAt(&st.pos)
+	}
 }
 
 // iterate runs the occupancy/bandwidth/CPI fixed point for a constant
@@ -879,6 +980,7 @@ func iterate(mach machine.Machine, states []coreState) float64 {
 			if st.model != nil {
 				st.mrLLC = math.Min(st.mr2, st.model.MissRatio(int64(st.occ)))
 			}
+			st.locate()
 		}
 		// DRAM utilization from every core's fetch + writeback stream, and
 		// the transfer-weighted mean batch size of the superposed miss
@@ -891,7 +993,7 @@ func iterate(mach machine.Machine, states []coreState) float64 {
 			st := &states[i]
 			st.bwCore = st.refsPerIn / st.cpi * st.mrLLC * ref.LineSize * (1 + st.wbFrac)
 			busy += st.bwCore
-			batchNum += st.bwCore * st.resp.BatchWAt(st.occ/ref.LineSize)
+			batchNum += st.bwCore * st.batchW
 		}
 		util = busy / mach.DRAM.BytesPerCycle
 		if util > maxBusUtil {
@@ -924,40 +1026,36 @@ func iterate(mach machine.Machine, states []coreState) float64 {
 		if busy > 0 {
 			for i := range states {
 				st := &states[i]
-				w := 1 - 1/st.resp.BatchWAt(st.occ/ref.LineSize)
+				w := 1 - 1/st.batchW
 				wNorm += st.bwCore / busy * w
 			}
 		}
 		baseLat := float64(mach.LLCLat+mach.DRAM.ServiceLat) + occCycles
 		// CPI from the telescoped depth response: the population that
-		// misses L1 but hits L2 costs the L2 excess latency, the L2-miss/
-		// LLC-hit population the LLC excess, and the population past the
-		// core's current LLC share the full DRAM latency. Each term prices
-		// its own far-reuse population (depth passes) at its level's
-		// latency in excess of the L1 hit cost already inside hitCPI.
+		// misses L1 but hits L2 costs the L2 excess latency (term2, fixed
+		// per core), the L2-miss/LLC-hit population the LLC excess, and the
+		// population past the core's current LLC share the full DRAM
+		// latency. Each term prices its own far-reuse population (depth
+		// passes) at its level's latency in excess of the L1 hit cost
+		// already inside hitCPI.
 		l1 := float64(mach.L1Lat)
-		dL1 := float64(mach.L1.Size / ref.LineSize)
-		dL2 := float64(mach.L2.Size / ref.LineSize)
-		lat2 := float64(mach.L2Lat) - l1
 		lat3 := float64(mach.LLCLat) - l1
 		for i := range states {
 			st := &states[i]
-			dOcc := st.occ / ref.LineSize
 			queue := qBase
 			if wNorm > 0 {
-				queue += qSync * (1 - 1/st.resp.BatchWAt(dOcc)) / wNorm
+				queue += qSync * (1 - 1/st.batchW) / wNorm
 			}
 			memLat := baseLat + queue
-			term2 := st.resp.ExtraAt(dL1, lat2) - st.resp.ExtraAt(dL2, lat2)
-			term3 := st.resp.ExtraAt(dL2, lat3) - st.resp.ExtraAt(dOcc, lat3)
-			termM := st.resp.ExtraAt(dOcc, memLat-l1)
-			if term2 < 0 {
-				term2 = 0
+			var term3, termM float64
+			if len(st.resp.Depths) > 0 {
+				term3 = st.extraL2 - st.resp.extraAt(&st.pos, lat3)
+				termM = st.resp.extraAt(&st.pos, memLat-l1)
 			}
 			if term3 < 0 {
 				term3 = 0
 			}
-			st.cpi = 0.5*st.cpi + 0.5*(st.hitCPI+term2+term3+termM)
+			st.cpi = 0.5*st.cpi + 0.5*(st.hitCPI+st.term2+term3+termM)
 		}
 	}
 	return util

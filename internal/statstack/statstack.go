@@ -41,6 +41,10 @@ type Model struct {
 	rds    []int64
 	prefix []float64 // prefix[i] = Σ_{j<i} (rds[j]+1)
 	cold   int64
+	// sdAt[i] = StackDist(rds[i]): the stack-distance curve at its
+	// breakpoints, non-decreasing, so criticalRD inverts it with one
+	// binary search.
+	sdAt []float64
 
 	perPC map[ref.PC]*pcSamples
 }
@@ -79,6 +83,14 @@ func Build(s *sampler.Samples) *Model {
 	for i, rd := range m.rds {
 		m.prefix[i+1] = m.prefix[i] + float64(rd+1)
 	}
+	m.sdAt = make([]float64, len(m.rds))
+	first := 0 // index of the first duplicate of rds[i]: #samples < rds[i]
+	for i, rd := range m.rds {
+		if rd != m.rds[first] {
+			first = i
+		}
+		m.sdAt[i] = m.segmentSD(first, rd)
+	}
 	// lint:allow detrand (each value is sorted independently; no cross-iteration state, so visit order cannot reach result bytes)
 	for _, ps := range m.perPC {
 		sort.Slice(ps.rds, func(i, j int) bool { return ps.rds[i] < ps.rds[j] })
@@ -112,43 +124,106 @@ func (m *Model) PCSampleCount(pc ref.PC) int64 {
 //
 //	sd(R) = Σ_{k=0}^{R-1} P(rd ≥ k) = (Σ_{rd_i < R}(rd_i+1) + R·#{rd_i ≥ R}) / N
 //
-// computed in O(log n) with prefix sums over the sorted sample set. Cold
-// samples count as rd = ∞.
+// computed in O(log n) with prefix sums over the sorted sample set (one
+// binary search for the number of samples below R). Cold samples count as
+// rd = ∞.
 func (m *Model) StackDist(rd int64) float64 {
-	n := float64(len(m.rds)) + float64(m.cold)
-	if n == 0 {
-		return 0
-	}
 	if rd < 0 {
 		return 0
 	}
 	// idx = number of finite samples with value < rd.
 	idx := sort.Search(len(m.rds), func(i int) bool { return m.rds[i] >= rd })
+	return m.segmentSD(idx, rd)
+}
+
+// segmentSD is StackDist(rd) for an rd with exactly idx finite samples
+// below it: sd is linear in rd between consecutive sample values, with
+// slope #{rd_i ≥ rd}/N. Every caller evaluates sd through this one
+// expression, so a value is the same float wherever it is computed.
+func (m *Model) segmentSD(idx int, rd int64) float64 {
+	n := float64(len(m.rds)) + float64(m.cold)
+	if n == 0 {
+		return 0
+	}
 	atLeast := float64(len(m.rds)-idx) + float64(m.cold)
 	return (m.prefix[idx] + float64(rd)*atLeast) / n
 }
 
+// maxCriticalRD bounds the finite answers of criticalRD: a cache no reuse
+// distance up to it reaches is reported as never missing.
+const maxCriticalRD = 1 << 61
+
 // criticalRD returns the smallest reuse distance whose expected stack
 // distance reaches lines (misses in a cache of that many lines). Returns
-// math.MaxInt64 if no finite reuse distance can miss.
+// math.MaxInt64 if no finite reuse distance up to 2^61 can miss.
+//
+// sd is piecewise linear and non-decreasing in rd, with a breakpoint at
+// every sample value, and segmentSD keeps that order: along one segment it
+// is a chain of monotone float operations in rd, and where two segments
+// meet each numerator Σ_{rd_i < R}(rd_i+1) + R·#{rd_i ≥ R} is an integer
+// below 2^53 (the sampled distances sum to far less), so exact in
+// float64, and one rounded division by N keeps the order. The predicate
+// sd(rd) ≥ lines is therefore monotone and its smallest rd unique. One
+// binary search over the precomputed breakpoint values sdAt finds the
+// segment holding it, solving the segment's line for rd gives it to
+// within rounding, and the exact predicate confirms it, in two
+// evaluations of segmentSD unless the estimate is further off (then the
+// segment is bisected). Cost: O(log n) plus O(1), against the ~80
+// StackDist calls of an exponential-plus-binary search over rd.
 func (m *Model) criticalRD(lines int64) int64 {
 	if lines <= 0 {
 		return 0
 	}
-	lo, hi := int64(0), int64(1)
-	// Exponential search for an upper bound.
-	for m.StackDist(hi) < float64(lines) {
-		if hi > 1<<60 {
-			return math.MaxInt64
-		}
-		hi <<= 1
+	target := float64(lines)
+	if m.StackDist(maxCriticalRD) < target {
+		return math.MaxInt64
 	}
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		if m.StackDist(mid) >= float64(lines) {
+	// j = first breakpoint whose sd reaches target. Duplicates share one
+	// value, so j is the first of its run and exactly j samples lie below
+	// every rd in (rds[j-1], rds[j]]; past the last sample, all of them do.
+	j, hi := 0, len(m.sdAt)
+	for j < hi {
+		mid := int(uint(j+hi) >> 1)
+		if m.sdAt[mid] >= target {
 			hi = mid
 		} else {
+			j = mid + 1
+		}
+	}
+	// The answer lies in [lo, top], and sd(top) reaches target. sd(0) = 0,
+	// so it is at least 1.
+	lo, top := int64(1), int64(maxCriticalRD)
+	if j > 0 {
+		lo = max(lo, m.rds[j-1]+1)
+	}
+	if j < len(m.rds) {
+		top = min(top, m.rds[j])
+	}
+	// Solve prefix[j] + rd·atLeast = target·N for the first rd on the line.
+	guess := lo
+	n := float64(len(m.rds)) + float64(m.cold)
+	if atLeast := float64(len(m.rds)-j) + float64(m.cold); atLeast > 0 {
+		x := math.Ceil((target*n - m.prefix[j]) / atLeast)
+		switch {
+		case x >= float64(top):
+			guess = top
+		case x > float64(lo):
+			guess = int64(x)
+		}
+	}
+	// Probe the estimate and its neighbour first; bisect if it was off
+	// by more than one.
+	for probe := 0; lo < top; probe++ {
+		mid := lo + (top-lo)/2
+		if probe < 2 && guess >= lo && guess <= top {
+			mid = guess
+		}
+		if m.segmentSD(j, mid) >= target {
+			top = mid
+			guess = mid - 1
+		} else {
 			lo = mid + 1
+			guess = mid + 1
 		}
 	}
 	return lo
